@@ -65,7 +65,7 @@ void Run() {
       kws_i.push_back(i % 2 == 0 ? kA : kB);
       docs.emplace_back(std::move(kws_i));
     }
-    corpus = Corpus(std::move(docs));
+    corpus = Corpus(docs);
   }
   {
     std::printf("\n-- W3 planted-disjoint frequent pair (OUT = 0) --\n");

@@ -90,7 +90,7 @@ void Adversarial() {
                               static_cast<KeywordId>(66 + i % 512)});
       pts.push_back({{rng.NextDouble(), rng.NextDouble()}});
     }
-    Corpus corpus(std::move(docs));
+    Corpus corpus(docs);
     FrameworkOptions opt;
     opt.k = 2;
     OrpKwIndex<2> orp(pts, &corpus, opt);

@@ -9,7 +9,7 @@
 //   * query: QPS of the batched engine (core/query_engine.h) over a fixed
 //     mixed batch at 1/2/4/8 threads, with per-query latency histograms
 //     (p50/p90/p99) and the QueryStats cost accounting exported to
-//     BENCH_throughput.json.
+//     BENCH_throughput.json, next to the keyword-signature pass rate.
 // Speedups are relative to the 1-thread run; on a machine with fewer cores
 // than threads the extra threads cannot help — the `identical` flag must
 // hold regardless.
@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,6 +42,36 @@ std::string SaveBytes(const OrpKwIndex<2>& index) {
   std::stringstream stream;
   index.Save(&stream);
   return stream.str();
+}
+
+/// Over every in-box (object, query) pair of the batch, the share whose
+/// 64-bit keyword signature passes (Corpus::MayContainAll) and the share
+/// whose document holds every keyword: how much of the verification the
+/// signature settles without the binary search. Untimed.
+void ReportSignaturePassRate(const Corpus& corpus,
+                             std::span<const Point<2>> pts,
+                             const std::vector<BatchQuery<Box<2>>>& batch,
+                             obs::MetricsRegistry* registry) {
+  uint64_t pairs = 0;
+  uint64_t signature = 0;
+  uint64_t exact = 0;
+  for (const BatchQuery<Box<2>>& q : batch) {
+    for (ObjectId e = 0; e < pts.size(); ++e) {
+      if (!q.region.Contains(pts[e])) continue;
+      ++pairs;
+      if (corpus.MayContainAll(e, q.keywords)) ++signature;
+      if (corpus.ContainsAll(e, q.keywords)) ++exact;
+    }
+  }
+  const double base = pairs > 0 ? static_cast<double>(pairs) : 1.0;
+  const double signature_pass = static_cast<double>(signature) / base;
+  const double exact_pass = static_cast<double>(exact) / base;
+  std::printf("\n-- keyword signature over %llu in-box pairs: %.4f pass, "
+              "%.4f match --\n",
+              static_cast<unsigned long long>(pairs), signature_pass,
+              exact_pass);
+  registry->SetGauge("verify.signature_pass", signature_pass);
+  registry->SetGauge("verify.exact_pass", exact_pass);
 }
 
 void Run(uint32_t num_objects, int num_queries) {
@@ -164,6 +195,7 @@ void Run(uint32_t num_objects, int num_queries) {
     }
   }
 
+  ReportSignaturePassRate(corpus, pts, batch, &registry);
   report.MergeRegistry(registry);
   bench::EmitJson(&report);
 }

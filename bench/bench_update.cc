@@ -152,7 +152,7 @@ void Run(uint32_t num_objects, uint32_t batch, int queries_per_batch) {
       live_docs.push_back(stream.docs[e]);
       live_ids.push_back(e);
     }
-    const Corpus corpus(std::move(live_docs));
+    const Corpus corpus(live_docs);
     const OrpKwIndex<2> fresh(live_points, &corpus, opt);
     for (const auto& q : stream.queries[b]) {
       std::vector<ObjectId> row = fresh.Query(q.region, q.keywords);

@@ -57,7 +57,7 @@ City MakeCity(uint32_t n_pois) {
         {{cx + static_cast<int64_t>(rng.NextGaussian() * 2000),
           cy + static_cast<int64_t>(rng.NextGaussian() * 2000)}});
   }
-  return {Corpus(std::move(docs)), std::move(locations)};
+  return {Corpus(docs), std::move(locations)};
 }
 
 }  // namespace

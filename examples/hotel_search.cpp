@@ -55,7 +55,7 @@ Hotels MakeHotels(uint32_t n) {
                        std::min(10.0, 2.0 + 8.0 * rng.NextDouble() +
                                           rng.NextGaussian() * 0.5)}});
   }
-  return {Corpus(std::move(docs)), std::move(points)};
+  return {Corpus(docs), std::move(points)};
 }
 
 template <typename Fn>

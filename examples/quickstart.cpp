@@ -35,7 +35,7 @@ int main() {
   std::vector<Point<2>> points = {
       {{80, 6.5}}, {{240, 9.1}}, {{150, 8.2}}, {{60, 4.0}}, {{390, 9.8}},
   };
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
 
   FrameworkOptions options;
   options.k = 2;  // Every query supplies exactly two keywords.

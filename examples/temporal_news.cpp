@@ -50,7 +50,7 @@ NewsArchive MakeArchive(uint32_t n_articles, double horizon_days) {
     const double lifetime = 1 + rng.UniformDouble(0, 30);  // Days live.
     spans.push_back({{{publish}}, {{publish + lifetime}}});
   }
-  return {Corpus(std::move(docs)), std::move(spans)};
+  return {Corpus(docs), std::move(spans)};
 }
 
 }  // namespace

@@ -140,7 +140,7 @@ inline std::vector<KeywordId> CheckNodeDirectory(
   FlatHashMap<KeywordId, uint32_t> counts;
   uint64_t weight = 0;
   for (ObjectId e : active) {
-    const Document& doc = corpus.doc(e);
+    const DocumentView doc = corpus.doc(e);
     weight += doc.size();
     for (KeywordId w : doc) {
       if (is_inherited(w)) ++counts[w];
@@ -1460,7 +1460,8 @@ AuditReport AuditIndex(const DynamicIndex<Family>& index,
                    "level %zu member %zu geometry diverged from registry",
                    slot, i);
       }
-      if (!(level->corpus->doc(static_cast<ObjectId>(i)) == *view.docs[id])) {
+      if (!(level->corpus->doc(static_cast<ObjectId>(i)) ==
+            DocumentView(view.docs[id]->keywords()))) {
         report.Add(AuditCheck::kDynamicLevels, node,
                    "level %zu member %zu document diverged from registry",
                    slot, i);

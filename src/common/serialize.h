@@ -118,9 +118,7 @@ class OutputArchive {
 
 class InputArchive {
  public:
-  explicit InputArchive(std::istream* in) : in_(in) {
-    KWSC_CHECK(in != nullptr);
-  }
+  explicit InputArchive(std::istream* in) : in_(in), end_(StreamEnd(in)) {}
 
   /// Reads and validates a magic tag; returns the stored version.
   uint32_t Magic(std::string_view tag) {
@@ -150,9 +148,12 @@ class InputArchive {
     // A corrupt (or truncated) archive can declare a length far beyond what
     // the stream holds; clamp against the actual remaining bytes so the
     // failure is this check, not a giant allocation followed by a short
-    // read. Division keeps size * sizeof(T) from overflowing first.
-    KWSC_CHECK_MSG(size <= RemainingBytes() / sizeof(T),
-                   "vector length exceeds remaining archive bytes");
+    // read. The buffered bytes settle most vectors without asking the
+    // stream where it ends. Division keeps size * sizeof(T) from
+    // overflowing first.
+    const bool fits = size <= BufferedBytes() / sizeof(T) ||
+                      size <= RemainingBytes() / sizeof(T);
+    KWSC_CHECK_MSG(fits, "vector length exceeds remaining archive bytes");
     std::vector<T> v(size);
     if (size > 0) {
       in_->read(reinterpret_cast<char*>(v.data()),
@@ -164,21 +165,40 @@ class InputArchive {
 
   bool ok() const { return in_->good(); }
 
- private:
   /// Bytes between the read position and end-of-stream, or UINT64_MAX when
   /// the stream is not seekable (a pipe falls back to the plausibility guard
-  /// plus the post-read truncation check).
-  uint64_t RemainingBytes() {
+  /// plus the post-read truncation check). Costs a position query, never a
+  /// seek: the end is measured once, when the archive is constructed.
+  uint64_t RemainingBytes() const {
+    if (end_ == std::istream::pos_type(-1)) return UINT64_MAX;
     const std::istream::pos_type pos = in_->tellg();
-    if (pos == std::istream::pos_type(-1)) return UINT64_MAX;
-    in_->seekg(0, std::ios::end);
-    const std::istream::pos_type end = in_->tellg();
-    in_->seekg(pos);
-    if (end == std::istream::pos_type(-1) || end < pos) return UINT64_MAX;
-    return static_cast<uint64_t>(end - pos);
+    if (pos == std::istream::pos_type(-1) || end_ < pos) return UINT64_MAX;
+    return static_cast<uint64_t>(end_ - pos);
+  }
+
+ private:
+  /// End-of-stream position, with the read position restored; -1 when the
+  /// stream is not seekable. Every seek makes a std::filebuf drop its read
+  /// buffer, which is why this runs once per archive and not per vector.
+  static std::istream::pos_type StreamEnd(std::istream* in) {
+    KWSC_CHECK(in != nullptr);
+    const std::istream::pos_type pos = in->tellg();
+    if (pos == std::istream::pos_type(-1)) return pos;
+    in->seekg(0, std::ios::end);
+    const std::istream::pos_type end = in->tellg();
+    in->seekg(pos);
+    return end;
+  }
+
+  /// Bytes the stream buffer holds past the read position: a lower bound
+  /// on RemainingBytes() that needs no call into the stream's device.
+  uint64_t BufferedBytes() const {
+    const std::streamsize avail = in_->rdbuf()->in_avail();
+    return avail > 0 ? static_cast<uint64_t>(avail) : 0;
   }
 
   std::istream* in_;
+  std::istream::pos_type end_;
 };
 
 }  // namespace kwsc

@@ -215,18 +215,18 @@ class DimRedOrpKwIndex {
   // on the shared pool too.
   void BuildSecondary(std::span<const ObjectId> active, Node* node,
                       ThreadPool* pool) {
-    std::vector<Document> docs;
-    docs.reserve(active.size());
+    const auto doc_of = [this](ObjectId e) {
+      return corpus_->doc(e).keywords();
+    };
+    auto sub_corpus = std::make_unique<Corpus>(Corpus::Gather(active, doc_of));
     std::vector<LowerPoint> lower_points;
     lower_points.reserve(active.size());
     std::vector<ObjectId> id_map(active.begin(), active.end());
     for (ObjectId e : active) {
-      docs.push_back(corpus_->doc(e));
       LowerPoint p;
       for (int dim = 1; dim < D; ++dim) p[dim - 1] = points_[e][dim];
       lower_points.push_back(p);
     }
-    auto sub_corpus = std::make_unique<Corpus>(std::move(docs));
     // Parallelism flows through the shared pool only — a num_threads > 1
     // setting must not make every secondary spin up a pool of its own.
     FrameworkOptions sub_options = options_;

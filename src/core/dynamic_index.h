@@ -373,15 +373,12 @@ class DynamicIndex {
       std::vector<ObjectId> id_map = ar.Vec<ObjectId>();
       auto level = std::make_shared<Level>();
       level->geoms.reserve(id_map.size());
-      std::vector<Document> docs;
-      docs.reserve(id_map.size());
       for (ObjectId id : id_map) {
         KWSC_CHECK(id < header.num_objects);
         level->geoms.push_back(index->all_geoms_[id]);
-        docs.push_back(*index->all_docs_[id]);
       }
+      level->corpus = std::make_unique<Corpus>(index->CorpusOfLocked(id_map));
       level->id_map = std::move(id_map);
-      level->corpus = std::make_unique<Corpus>(std::move(docs));
       level->index = std::make_unique<Family>(
           std::span<const GeomType>(level->geoms), level->corpus.get(),
           options);
@@ -405,14 +402,12 @@ class DynamicIndex {
   Compacted Compact() const {
     MutexLock lock(&mu_);
     Compacted out;
-    std::vector<Document> docs;
     for (ObjectId id = 0; id < num_objects_; ++id) {
       if (IsDeadLocked(id)) continue;
       out.ids.push_back(id);
       out.geoms.push_back(all_geoms_[id]);
-      docs.push_back(*all_docs_[id]);
     }
-    out.corpus = std::make_unique<Corpus>(std::move(docs));
+    out.corpus = std::make_unique<Corpus>(CorpusOfLocked(out.ids));
     out.index = std::make_unique<Family>(
         std::span<const GeomType>(out.geoms), out.corpus.get(), options_);
     return out;
@@ -474,7 +469,7 @@ class DynamicIndex {
   struct CarryPlan {
     std::vector<ObjectId> ids;
     std::vector<GeomType> geoms;
-    std::vector<Document> docs;
+    Corpus corpus;
     size_t consumed_buffer = 0;
     size_t num_consumed_slots = 0;
     size_t target_slot = 0;
@@ -558,14 +553,23 @@ class DynamicIndex {
     plan.target_slot = slot;
     plan.ids.reserve(gathered.size());
     plan.geoms.reserve(gathered.size());
-    plan.docs.reserve(gathered.size());
     for (ObjectId id : gathered) {
       if (IsDeadLocked(id)) continue;
       plan.ids.push_back(id);
       plan.geoms.push_back(all_geoms_[id]);
-      plan.docs.push_back(*all_docs_[id]);
     }
+    plan.corpus = CorpusOfLocked(plan.ids);
     return plan;
+  }
+
+  /// The registry documents of `ids`, in order, as one corpus.
+  Corpus CorpusOfLocked(std::span<const ObjectId> ids) const
+      KWSC_REQUIRES(mu_) {
+    const std::vector<std::shared_ptr<const Document>>& docs = all_docs_;
+    const auto doc_of = [&docs](ObjectId id) {
+      return std::span<const KeywordId>(docs[id]->keywords());
+    };
+    return Corpus::Gather(ids, doc_of);
   }
 
   /// The expensive step, runs without the lock in background mode. Null
@@ -575,7 +579,7 @@ class DynamicIndex {
     auto level = std::make_shared<Level>();
     level->geoms = std::move(plan->geoms);
     level->id_map = std::move(plan->ids);
-    level->corpus = std::make_unique<Corpus>(std::move(plan->docs));
+    level->corpus = std::make_unique<Corpus>(std::move(plan->corpus));
     level->index = std::make_unique<Family>(
         std::span<const GeomType>(level->geoms), level->corpus.get(),
         options_);

@@ -31,7 +31,7 @@ KsiInstance KsiInstance::FromSets(
     instance.values.push_back(value);
     docs.emplace_back(std::move(ids));
   }
-  instance.corpus = Corpus(std::move(docs));
+  instance.corpus = Corpus(docs);
   return instance;
 }
 

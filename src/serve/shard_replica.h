@@ -94,15 +94,15 @@ class ShardReplica {
                const FrameworkOptions& options, int num_threads,
                uint64_t per_query_ops) {
     to_global_.assign(members.begin(), members.end());
-    std::vector<Document> docs;
-    docs.reserve(members.size());
     points_.reserve(members.size());
     for (ObjectId e : members) {
-      KWSC_CHECK(e < points.size());
-      docs.push_back(corpus.doc(e));
+      KWSC_CHECK(e < points.size() && e < corpus.num_objects());
       points_.push_back(points[e]);
     }
-    corpus_ = Corpus(std::move(docs));
+    const auto doc_of = [&corpus](ObjectId e) {
+      return corpus.doc(e).keywords();
+    };
+    corpus_ = Corpus::Gather(members, doc_of);
     index_ = std::make_unique<Index>(std::span<const PointType>(points_),
                                      &corpus_, options);
     view_ = BudgetedIndexView<Index>(index_.get(), per_query_ops);

@@ -95,7 +95,7 @@ ShardPlan ShardRouter::PlanKeyword(const Corpus& corpus) const {
     std::vector<KeywordId> dominant(corpus.num_objects());
     std::vector<uint64_t> group_weight(corpus.vocab_size(), 0);
     for (ObjectId e = 0; e < corpus.num_objects(); ++e) {
-      const Document& d = corpus.doc(e);
+      const DocumentView d = corpus.doc(e);
       KeywordId best = *d.begin();
       for (KeywordId w : d) {
         if (freq[w] > freq[best]) best = w;

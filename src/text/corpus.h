@@ -2,11 +2,17 @@
 //
 // Corpus: the keyword side of a dataset.
 //
-// Holds one Document per object and precomputes the quantities the paper's
+// Holds every object's document and precomputes the quantities the paper's
 // definitions use everywhere: the input size N = sum of document sizes
 // (Eq. (2)) and the vocabulary size W. Geometry (points, rectangles) lives
 // next to the Corpus in each index, keyed by ObjectId, so the same corpus can
 // back every problem variant.
+//
+// Storage is one CSR pool: object e's sorted, distinct keywords are
+// keywords_[offsets_[e], offsets_[e + 1]). Each object also carries a 64-bit
+// keyword signature, the OR of its keywords' SignatureBit()s, so the
+// membership test the query algorithms run on every pivot and list object
+// (footnote 9) usually settles with one load and no search.
 
 #ifndef KWSC_TEXT_CORPUS_H_
 #define KWSC_TEXT_CORPUS_H_
@@ -16,7 +22,7 @@
 #include <span>
 #include <vector>
 
-#include "common/flat_hash.h"
+#include "common/macros.h"
 #include "text/document.h"
 
 namespace kwsc {
@@ -30,42 +36,88 @@ class Corpus {
  public:
   Corpus() = default;
 
-  /// Takes ownership of `docs`. Every document must be non-empty.
-  explicit Corpus(std::vector<Document> docs);
+  /// Copies `docs` into the pool. Every document must be non-empty.
+  explicit Corpus(const std::vector<Document>& docs);
 
-  size_t num_objects() const { return docs_.size(); }
+  /// The corpus whose object i is the document `doc_of(ids[i])`. The
+  /// callable returns a view (a KeywordSpan or a std::span) of a sorted,
+  /// distinct, non-empty keyword set: another corpus's document or a
+  /// Document's keywords. The spans are appended; no Document is built.
+  template <typename DocOf>
+  static Corpus Gather(std::span<const ObjectId> ids, DocOf doc_of) {
+    uint64_t weight = 0;
+    for (ObjectId id : ids) weight += doc_of(id).size();
+    Corpus out;
+    out.Reserve(ids.size(), weight);
+    for (ObjectId id : ids) out.Append(doc_of(id));
+    return out;
+  }
+
+  size_t num_objects() const { return signatures_.size(); }
 
   /// The paper's input size N = sum over objects of |e.Doc| (Eq. (2)).
-  uint64_t total_weight() const { return total_weight_; }
+  uint64_t total_weight() const { return keywords_.size(); }
 
   /// Number of distinct keywords W (max keyword id + 1).
   uint32_t vocab_size() const { return vocab_size_; }
 
-  const Document& doc(ObjectId e) const { return docs_[e]; }
+  DocumentView doc(ObjectId e) const {
+    KWSC_DCHECK(e < num_objects());
+    const KeywordId* base = keywords_.data();
+    return DocumentView({base + offsets_[e], base + offsets_[e + 1]});
+  }
 
-  /// O(1)-ish membership: binary search for short documents, a hash set for
-  /// long ones (the paper's footnote-9 perfect hash table on e.Doc).
-  bool Contains(ObjectId e, KeywordId w) const;
+  /// The signature bit of keyword `w`: its id modulo 64. Ids are handed out
+  /// roughly by frequency (Zipf ranks in the generators, first sight in a
+  /// Vocabulary), so the 64 commonest keywords get a bit each, and a rarer
+  /// one shares a bit with ids 64 apart. On the Zipf workloads this passes
+  /// fewer false candidates than a multiplicative hash of the id.
+  static uint64_t SignatureBit(KeywordId w) { return uint64_t{1} << (w & 63); }
+
+  /// The signature test alone: false proves e.Doc misses one of `keywords`;
+  /// true may be a collision. ContainsAll runs it before the exact search.
+  bool MayContainAll(ObjectId e, std::span<const KeywordId> keywords) const {
+    KWSC_DCHECK(e < num_objects());
+    uint64_t want = 0;
+    for (KeywordId w : keywords) want |= SignatureBit(w);
+    return (signatures_[e] & want) == want;
+  }
+
+  /// Footnote 9's O(1) membership test: the signature, then a binary search
+  /// of the O(1)-size document.
+  bool Contains(ObjectId e, KeywordId w) const {
+    return ContainsAll(e, std::span<const KeywordId>(&w, 1));
+  }
 
   /// True iff e.Doc contains all of `keywords` — the membership test the
   /// query algorithms run when visiting pivot objects and materialized lists.
-  bool ContainsAll(ObjectId e, std::span<const KeywordId> keywords) const;
+  bool ContainsAll(ObjectId e, std::span<const KeywordId> keywords) const {
+    if (!MayContainAll(e, keywords)) return false;
+    const DocumentView d = doc(e);
+    for (KeywordId w : keywords) {
+      if (!d.Contains(w)) return false;
+    }
+    return true;
+  }
 
   size_t MemoryBytes() const;
 
   /// Persists the documents to `out`; Load reconstructs the corpus
-  /// (recomputing weights, vocabulary, and membership accelerators).
+  /// (recomputing weights, vocabulary, and signatures).
   void Save(std::ostream* out) const;
   static Corpus Load(std::istream* in);
 
  private:
-  // Documents at least this long get a hash set for O(1) membership.
-  static constexpr size_t kHashedDocThreshold = 32;
+  /// Makes room for `objects` more documents holding `keywords` in total.
+  /// Sizing the pool exactly keeps MemoryBytes() equal however it was built.
+  void Reserve(size_t objects, uint64_t keywords);
 
-  std::vector<Document> docs_;
-  // Sparse: one entry per long document only.
-  FlatHashMap<ObjectId, FlatHashSet<KeywordId>> hashed_docs_;
-  uint64_t total_weight_ = 0;
+  /// Appends a sorted, distinct, non-empty document as object num_objects().
+  void Append(std::span<const KeywordId> keywords);
+
+  std::vector<uint64_t> offsets_ = {0};  // num_objects() + 1 entries.
+  std::vector<KeywordId> keywords_;      // Every document, in object order.
+  std::vector<uint64_t> signatures_;     // One per object.
   uint32_t vocab_size_ = 0;
 };
 

@@ -11,9 +11,11 @@
 #ifndef KWSC_TEXT_DOCUMENT_H_
 #define KWSC_TEXT_DOCUMENT_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <vector>
 
 namespace kwsc {
@@ -26,10 +28,48 @@ using ObjectId = uint32_t;
 
 constexpr ObjectId kInvalidObjectId = static_cast<ObjectId>(-1);
 
+/// A run of sorted, distinct keywords held elsewhere. It is a std::span,
+/// and it also converts to a std::vector copy for callers that take one.
+class KeywordSpan : public std::span<const KeywordId> {
+ public:
+  using std::span<const KeywordId>::span;
+
+  operator std::vector<KeywordId>() const { return {begin(), end()}; }
+};
+
+/// One document of a Corpus: a view of its keywords inside the corpus pool,
+/// valid while the corpus is. Converts to an owning Document.
+class DocumentView {
+ public:
+  explicit DocumentView(std::span<const KeywordId> keywords)
+      : keywords_(keywords.data(), keywords.size()) {}
+
+  /// True iff `w` is in the set. Binary search.
+  bool Contains(KeywordId w) const {
+    return std::binary_search(begin(), end(), w);
+  }
+
+  size_t size() const { return keywords_.size(); }
+  KeywordSpan keywords() const { return keywords_; }
+
+  const KeywordId* begin() const { return keywords_.data(); }
+  const KeywordId* end() const { return keywords_.data() + keywords_.size(); }
+
+  friend bool operator==(const DocumentView& a, const DocumentView& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  KeywordSpan keywords_;
+};
+
 /// A sorted, deduplicated keyword set. Immutable after construction.
 class Document {
  public:
   Document() = default;
+
+  /// Copies a corpus document, which is already sorted and distinct.
+  Document(const DocumentView& view) : keywords_(view.begin(), view.end()) {}
 
   /// Sorts and deduplicates `keywords`. The result must be non-empty for use
   /// as an object document (Eq. (2) counts its size toward N), but empty

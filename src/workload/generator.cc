@@ -33,7 +33,7 @@ Corpus GenerateCorpus(const CorpusSpec& spec, Rng* rng) {
     }
     docs.emplace_back(scratch);
   }
-  return Corpus(std::move(docs));
+  return Corpus(docs);
 }
 
 std::vector<KeywordId> PickQueryKeywords(const Corpus& corpus, int k,
@@ -69,7 +69,7 @@ std::vector<KeywordId> PickQueryKeywords(const Corpus& corpus, int k,
       for (int attempt = 0; attempt < 4096; ++attempt) {
         const ObjectId e =
             static_cast<ObjectId>(rng->NextBounded(corpus.num_objects()));
-        const Document& doc = corpus.doc(e);
+        const DocumentView doc = corpus.doc(e);
         if (doc.size() < static_cast<size_t>(k)) continue;
         std::vector<KeywordId> shuffled(doc.begin(), doc.end());
         for (size_t i = shuffled.size(); i > 1; --i) {

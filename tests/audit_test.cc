@@ -59,7 +59,7 @@ Corpus SharedPairCorpus(uint32_t n, uint32_t varying = 13) {
   for (uint32_t i = 0; i < n; ++i) {
     docs.push_back(Document{0, 1, static_cast<KeywordId>(2 + i % varying)});
   }
-  return Corpus(std::move(docs));
+  return Corpus(docs);
 }
 
 std::vector<Point<2>> GridPoints(uint32_t n) {

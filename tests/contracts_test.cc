@@ -105,8 +105,9 @@ static_assert(DynamizableFamily<OrpKwIndex<3>>);
 static_assert(DynamizableFamily<SpKwBoxIndex<2>>);
 static_assert(DynamizableFamily<RrKwIndex<1>>);
 static_assert(DynamizableFamily<RrKwIndex<2>>);
-// The dimension-reduction tree exposes no emit-functor query surface and is
-// deliberately outside the dynamization contract (rebuild it instead).
+// The dimension-reduction tree has QueryEmit but names no DynamicGeomType or
+// DynamicRegionType and has no MatchesRegion, so it is deliberately outside
+// the dynamization contract (rebuild it instead).
 static_assert(!DynamizableFamily<DimRedOrpKwIndex<3>>);
 
 // ---------------------------------------------------------------------------

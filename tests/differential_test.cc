@@ -99,7 +99,7 @@ TEST(Degenerate, AllPointsIdentical) {
     docs.push_back(Document{static_cast<KeywordId>(i % 4),
                             static_cast<KeywordId>(4 + i % 3)});
   }
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   FrameworkOptions opt;
   opt.k = 2;
   OrpKwIndex<2> orp(pts, &corpus, opt);
@@ -134,7 +134,7 @@ TEST(Degenerate, IdenticalDocumentsEverywhere) {
   const uint32_t n = 300;
   std::vector<Document> docs(n, Document{0, 1, 2});
   auto pts = GeneratePoints<2>(n, PointDistribution::kUniform, &rng);
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   FrameworkOptions opt;
   opt.k = 3;
   OrpKwIndex<2> index(pts, &corpus, opt);
@@ -159,7 +159,7 @@ TEST(Degenerate, PointBoxQuery) {
   OrpKwIndex<2> index(pts, &corpus, opt);
   for (ObjectId e = 0; e < 20; ++e) {
     Box<2> q{pts[e], pts[e]};
-    const Document& doc = corpus.doc(e);
+    const DocumentView doc = corpus.doc(e);
     if (doc.size() < 2) continue;
     std::vector<KeywordId> kws = {doc.keywords()[0], doc.keywords()[1]};
     auto got = index.Query(q, kws);
@@ -180,7 +180,7 @@ TEST(Degenerate, ExtremeCoordinates) {
     pts.push_back({{rng.UniformDouble(-1e9, 1e9),
                     rng.UniformDouble(-1e-9, 1e-9)}});
   }
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   FrameworkOptions opt;
   opt.k = 2;
   OrpKwIndex<2> index(pts, &corpus, opt);
@@ -219,7 +219,7 @@ TEST(Degenerate, KEqualsDocumentSize) {
       docs[i] = Document(padded);
     }
   }
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   FrameworkOptions opt;
   opt.k = k;
   OrpKwIndex<2> index(pts, &corpus, opt);

@@ -97,7 +97,7 @@ TEST(DimRed, TiesOnXAxisAreHandled) {
     pts.push_back({{std::floor(rng.UniformDouble(0, 4)),
                     rng.NextDouble(), rng.NextDouble()}});
   }
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   FrameworkOptions opt;
   opt.k = 2;
   DimRedOrpKwIndex<3> index(pts, &corpus, opt);

@@ -126,7 +126,7 @@ TEST(EdgeBalancedCut, FanoutTwoSplitsByWeight) {
     for (int j = 0; j < len; ++j) kws.push_back(static_cast<KeywordId>(j));
     docs.emplace_back(std::move(kws));
   }
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   std::vector<ObjectId> sorted = {0, 1, 2, 3, 4, 5};
   const auto cut = ComputeBalancedCut(sorted, corpus, 2);
   ASSERT_FALSE(cut.groups.empty());
@@ -216,7 +216,7 @@ TEST(EdgeOrpKw, EmptinessDeviceOnPlantedDisjointPair) {
                             static_cast<KeywordId>(2 + i % 9)});
     pts.push_back({{rng.NextDouble(), rng.NextDouble()}});
   }
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   FrameworkOptions opt;
   opt.k = 2;
   OrpKwIndex<2> index(pts, &corpus, opt);

@@ -54,7 +54,7 @@ HotelData MakeHotels() {
     const double rating = rng.UniformDouble(1, 10);
     points.push_back({{price, rating}});
   }
-  return {Corpus(std::move(docs)), std::move(points)};
+  return {Corpus(docs), std::move(points)};
 }
 
 class HotelScenario : public ::testing::Test {

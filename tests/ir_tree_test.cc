@@ -86,7 +86,7 @@ TEST(IrTree, RareKeywordPrunesWithoutGeometry) {
     docs.emplace_back(std::move(kws));
     pts.push_back({{rng.NextDouble(), rng.NextDouble()}});
   }
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   IrTree<2> tree(pts, &corpus);
   std::vector<KeywordId> kws = {99, static_cast<KeywordId>(1234 % 8)};
   BaselineStats stats;
@@ -109,7 +109,7 @@ TEST(IrTree, FrequentKeywordsDegenerateToRegionScan) {
                             static_cast<KeywordId>(2 + i % 5)});
     pts.push_back({{rng.NextDouble(), rng.NextDouble()}});
   }
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   IrTree<2> tree(pts, &corpus);
   std::vector<KeywordId> kws = {0, 1};  // Provably empty everywhere.
   BaselineStats stats;

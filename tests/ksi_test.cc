@@ -39,7 +39,7 @@ TEST(KsiInstance, TranslationMatchesSection12) {
   EXPECT_EQ(instance.corpus.total_weight(), 7u);
   EXPECT_EQ(instance.num_sets, 3u);
   // Element 9 is in all three sets.
-  EXPECT_EQ(instance.corpus.doc(2).keywords(),
+  EXPECT_EQ(std::vector<KeywordId>(instance.corpus.doc(2).keywords()),
             (std::vector<KeywordId>{0, 1, 2}));
 }
 

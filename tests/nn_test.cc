@@ -79,7 +79,7 @@ TEST(LinfNn, FewerMatchesThanTReturnsAll) {
                            : Document{2 + i % 5, 7 + i % 3});
     pts.push_back({{rng.NextDouble(), rng.NextDouble()}});
   }
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   FrameworkOptions opt;
   opt.k = 2;
   LinfNnIndex<2> index(pts, &corpus, opt);
@@ -103,7 +103,7 @@ TEST(LinfNn, CandidateRadiusSelection) {
   std::vector<Document> docs = {Document{0, 1}, Document{0, 1},
                                 Document{0, 1}};
   std::vector<Point<1>> pts = {{{0.0}}, {{10.0}}, {{25.0}}};
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   FrameworkOptions opt;
   opt.k = 2;
   LinfNnIndex<1> index(pts, &corpus, opt);
@@ -189,7 +189,7 @@ TEST(L2Nn, ExactTiesByDistanceAreStable) {
   // objects at exactly that distance.
   std::vector<Document> docs(4, Document{0, 1});
   std::vector<IntPoint<2>> pts = {{{1, 0}}, {{-1, 0}}, {{0, 1}}, {{0, -1}}};
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   FrameworkOptions opt;
   opt.k = 2;
   L2NnIndex<2> index(pts, &corpus, opt);
@@ -205,7 +205,7 @@ TEST(L2Nn, QueryAtDataPoint) {
   std::vector<Document> docs = {Document{0, 1}, Document{0, 1},
                                 Document{2, 3}};
   std::vector<IntPoint<2>> pts = {{{5, 5}}, {{100, 100}}, {{5, 5}}};
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   FrameworkOptions opt;
   opt.k = 2;
   L2NnIndex<2> index(pts, &corpus, opt);

@@ -91,7 +91,7 @@ TEST(OrpKw, TiedCoordinatesHandledByRankSpace) {
     pts.push_back({{std::floor(rng.UniformDouble(0, 5)),
                     std::floor(rng.UniformDouble(0, 5))}});
   }
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   FrameworkOptions opt;
   opt.k = 2;
   OrpKwIndex<2> index(pts, &corpus, opt);
@@ -121,7 +121,7 @@ TEST(OrpKw, OneDimensional) {
                             static_cast<KeywordId>(5 + i % 6)});
     pts.push_back({{static_cast<double>(i)}});
   }
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   FrameworkOptions opt;
   opt.k = 2;
   OrpKwIndex<1> index(pts, &corpus, opt);

@@ -180,7 +180,7 @@ TEST(WeightedMedian, SkewedCorpusBuildsShallowTreeAndAnswersCorrectly) {
     p[1] = static_cast<double>(i);
     pts.push_back(p);
   }
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   FrameworkOptions opt;
   opt.k = 2;
   OrpKwIndex<2> index(pts, &corpus, opt);

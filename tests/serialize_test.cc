@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/random.h"
 #include "common/serialize.h"
+#include "core/format_versions.h"
 #include "core/orp_kw.h"
 #include "test_util.h"
 #include "text/corpus.h"
@@ -82,6 +86,52 @@ TEST(ArchiveDeath, VecLengthSlightlyBeyondStreamAborts) {
   }
   InputArchive ar(&stream);
   EXPECT_DEATH(ar.Vec<uint32_t>(), "exceeds remaining archive bytes");
+}
+
+TEST(ArchiveDeath, VecLengthBeyondFileEndAborts) {
+  // Through a std::filebuf the clamp takes the buffered byte count when it
+  // covers a vector and measures from the end cached at construction when
+  // it does not. The small vectors cross several buffer refills; the last
+  // one, an element short, must still die.
+  const std::string path = ::testing::TempDir() + "kwsc_serialize_vecs.bin";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    OutputArchive ar(&out);
+    for (uint32_t i = 0; i < 5000; ++i) {
+      ar.Vec(std::vector<uint32_t>{i, i + 1, i + 2});
+    }
+    ar.Pod<uint64_t>(3);
+    ar.Pod<uint32_t>(1);
+    ar.Pod<uint32_t>(2);
+  }
+  const auto read_all = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    InputArchive ar(&in);
+    for (uint32_t i = 0; i < 5000; ++i) {
+      KWSC_CHECK(ar.Vec<uint32_t>() ==
+                 (std::vector<uint32_t>{i, i + 1, i + 2}));
+    }
+    ar.Vec<uint32_t>();
+  };
+  EXPECT_DEATH(read_all(), "exceeds remaining archive bytes");
+  std::remove(path.c_str());
+}
+
+TEST(ArchiveDeath, CorpusCountBeyondStreamAborts) {
+  // A KWCP stream declaring more documents than its bytes can hold (each
+  // takes at least its 8-byte length prefix) must die in the count check,
+  // not in the reserve for them (std::bad_alloc, std::length_error).
+  for (const uint64_t count : {uint64_t{1} << 40, uint64_t{1} << 61}) {
+    std::stringstream stream;
+    {
+      OutputArchive ar(&stream);
+      ar.Magic("KWCP", kCorpusFormatVersion);
+      ar.Pod<uint64_t>(count);
+      ar.Vec(std::vector<KeywordId>{1, 2});
+    }
+    EXPECT_DEATH(Corpus::Load(&stream),
+                 "document count [0-9]+ exceeds remaining archive bytes");
+  }
 }
 
 TEST(Archive, BufferedWriterMatchesUnbufferedByteForByte) {

@@ -62,7 +62,7 @@ Dataset MakeDenseDataset(uint32_t n, uint64_t seed) {
     docs.push_back(Document{0, 1, 2 + i % 50, 52 + (i / 7) % 40});
   }
   Dataset data;
-  data.corpus = Corpus(std::move(docs));
+  data.corpus = Corpus(docs);
   data.points = GeneratePoints<2>(n, PointDistribution::kUniform, &rng);
   data.axis_keys.reserve(n);
   for (const auto& p : data.points) data.axis_keys.push_back(p[0]);
@@ -174,7 +174,7 @@ TEST(ShardRouter, KeywordPlanColocatesDominantKeyword) {
   for (uint32_t i = 0; i < 40; ++i) {
     docs.push_back(Document{i % 2, 2 + i});
   }
-  const Corpus corpus(std::move(docs));
+  const Corpus corpus(docs);
   ShardRouter router(ShardStrategy::kKeywordPartitioned, 2);
   const ShardPlan plan = router.Plan(corpus);
   for (ObjectId e = 0; e < 40; ++e) {

@@ -10,7 +10,7 @@ namespace {
 
 TEST(Smoke, BuildAndQuery) {
   std::vector<Document> docs = {{0, 1}, {0, 2}, {1, 2}, {0, 1, 2}};
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   std::vector<Point<2>> pts = {{{0, 0}}, {{1, 1}}, {{2, 2}}, {{3, 3}}};
   FrameworkOptions opt;
   opt.k = 2;
@@ -38,7 +38,7 @@ TEST(Smoke, DimRed3D) {
                             static_cast<KeywordId>(5 + i % 3)});
     pts.push_back({{i * 1.0, (i * 37 % 200) * 1.0, (i * 53 % 200) * 1.0}});
   }
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   FrameworkOptions opt;
   opt.k = 2;
   DimRedOrpKwIndex<3> index(pts, &corpus, opt);

@@ -207,7 +207,7 @@ TEST(SpKwBox, TiedCoordinates) {
     pts.push_back({{std::floor(rng.UniformDouble(0, 3)),
                     std::floor(rng.UniformDouble(0, 3))}});
   }
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   FrameworkOptions opt;
   opt.k = 2;
   SpKwBoxIndex<2> index(pts, &corpus, opt);

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <sstream>
 
 #include "common/random.h"
+#include "common/serialize.h"
+#include "core/format_versions.h"
 #include "text/corpus.h"
 #include "text/document.h"
 #include "text/inverted_index.h"
@@ -61,15 +65,134 @@ TEST(Corpus, ContainsAllSpan) {
   EXPECT_FALSE(corpus.ContainsAll(0, no));
 }
 
-TEST(Corpus, LongDocumentsUseHashedPath) {
-  // Documents of >= 32 keywords go through the hash-set membership path
-  // (footnote 9's perfect hash table); verify it agrees with binary search.
-  std::vector<KeywordId> long_doc;
-  for (KeywordId w = 0; w < 100; w += 2) long_doc.push_back(w);
-  Corpus corpus({Document(long_doc)});
-  for (KeywordId w = 0; w < 100; ++w) {
-    EXPECT_EQ(corpus.Contains(0, w), w % 2 == 0) << w;
+// Keyword ids in groups of four that share one signature bit, so a
+// document holding one member of a group passes the signature test for the
+// other three: the exact search has to tell them apart.
+std::vector<KeywordId> CollidingVocabulary() {
+  std::map<uint64_t, std::vector<KeywordId>> by_bit;
+  for (KeywordId w = 0; w < 4096; ++w) {
+    std::vector<KeywordId>& group = by_bit[Corpus::SignatureBit(w)];
+    if (group.size() < 4) group.push_back(w);
   }
+  std::vector<KeywordId> vocab;
+  for (const auto& [bit, group] : by_bit) {
+    vocab.insert(vocab.end(), group.begin(), group.end());
+  }
+  return vocab;
+}
+
+// Documents of 1-64 keywords over the colliding vocabulary.
+std::vector<std::vector<KeywordId>> CollidingDocuments(Rng* rng) {
+  const std::vector<KeywordId> vocab = CollidingVocabulary();
+  std::vector<std::vector<KeywordId>> docs;
+  for (int i = 0; i < 400; ++i) {
+    const size_t len = 1 + rng->NextBounded(64);
+    std::vector<KeywordId> doc;
+    while (doc.size() < len) {
+      const KeywordId w = vocab[rng->NextBounded(vocab.size())];
+      if (std::find(doc.begin(), doc.end(), w) == doc.end()) doc.push_back(w);
+    }
+    docs.push_back(std::move(doc));
+  }
+  return docs;
+}
+
+Corpus MakeCorpus(const std::vector<std::vector<KeywordId>>& raw) {
+  std::vector<Document> docs;
+  for (const std::vector<KeywordId>& doc : raw) docs.emplace_back(doc);
+  return Corpus(docs);
+}
+
+bool BruteContainsAll(const std::vector<KeywordId>& doc,
+                      const std::vector<KeywordId>& keywords) {
+  return std::all_of(keywords.begin(), keywords.end(), [&doc](KeywordId w) {
+    return std::find(doc.begin(), doc.end(), w) != doc.end();
+  });
+}
+
+TEST(Corpus, MembershipMatchesBruteForceWithCollidingSignatures) {
+  Rng rng(2026);
+  const std::vector<std::vector<KeywordId>> raw = CollidingDocuments(&rng);
+  const Corpus corpus = MakeCorpus(raw);
+  const std::vector<KeywordId> vocab = CollidingVocabulary();
+  uint64_t collisions = 0;
+  for (ObjectId e = 0; e < corpus.num_objects(); ++e) {
+    const std::vector<KeywordId>& doc = raw[e];
+    for (KeywordId w : vocab) {
+      EXPECT_EQ(corpus.Contains(e, w), BruteContainsAll(doc, {w}));
+    }
+    for (int trial = 0; trial < 64; ++trial) {
+      // Half the probes start from a keyword the document holds, so they
+      // pass its signature bit; the rest are unrelated.
+      std::vector<KeywordId> q;
+      q.push_back(trial % 2 == 0 ? doc[rng.NextBounded(doc.size())]
+                                 : vocab[rng.NextBounded(vocab.size())]);
+      const size_t k = 2 + static_cast<size_t>(trial % 3 == 0);
+      while (q.size() < k) {
+        const KeywordId w = vocab[rng.NextBounded(vocab.size())];
+        if (std::find(q.begin(), q.end(), w) == q.end()) q.push_back(w);
+      }
+      std::sort(q.begin(), q.end());
+      const bool expected = BruteContainsAll(doc, q);
+      EXPECT_EQ(corpus.ContainsAll(e, q), expected);
+      // The signature never rejects a match.
+      const bool may = corpus.MayContainAll(e, q);
+      EXPECT_TRUE(may || !expected);
+      if (may && !expected) ++collisions;
+    }
+  }
+  // The exact search, not only the signature, decided some probes.
+  EXPECT_GT(collisions, 0u);
+}
+
+TEST(Corpus, SaveLoadCopyMatchesBuiltCorpus) {
+  Rng rng(2027);
+  const Corpus built = MakeCorpus(CollidingDocuments(&rng));
+  std::stringstream stream;
+  built.Save(&stream);
+  const Corpus loaded = Corpus::Load(&stream);
+  ASSERT_EQ(loaded.num_objects(), built.num_objects());
+  for (ObjectId e = 0; e < built.num_objects(); ++e) {
+    EXPECT_EQ(loaded.doc(e), built.doc(e)) << e;
+  }
+  EXPECT_EQ(loaded.total_weight(), built.total_weight());
+  EXPECT_EQ(loaded.vocab_size(), built.vocab_size());
+  EXPECT_EQ(loaded.MemoryBytes(), built.MemoryBytes());
+}
+
+std::string KwcpStream(const std::vector<std::vector<KeywordId>>& docs) {
+  std::stringstream stream;
+  {
+    OutputArchive ar(&stream);
+    ar.Magic("KWCP", kCorpusFormatVersion);
+    ar.Pod<uint64_t>(docs.size());
+    for (const std::vector<KeywordId>& doc : docs) ar.Vec(doc);
+  }
+  return stream.str();
+}
+
+TEST(Corpus, LoadCanonicalizesUnsortedAndDuplicatedDocuments) {
+  std::stringstream messy(KwcpStream({{9, 3, 7}, {4, 4, 1, 4}, {2}}));
+  std::stringstream sorted(KwcpStream({{3, 7, 9}, {1, 4}, {2}}));
+  const Corpus a = Corpus::Load(&messy);
+  const Corpus b = Corpus::Load(&sorted);
+  ASSERT_EQ(a.num_objects(), 3u);
+  ASSERT_EQ(b.num_objects(), 3u);
+  for (ObjectId e = 0; e < 3; ++e) EXPECT_EQ(a.doc(e), b.doc(e)) << e;
+  EXPECT_EQ(a.total_weight(), 6u);
+  EXPECT_EQ(a.total_weight(), b.total_weight());
+  EXPECT_EQ(a.vocab_size(), b.vocab_size());
+  EXPECT_EQ(a.MemoryBytes(), b.MemoryBytes());
+  const std::vector<KeywordId> q = {1, 4};
+  EXPECT_TRUE(a.ContainsAll(1, q));
+  EXPECT_FALSE(a.ContainsAll(0, q));
+}
+
+TEST(CorpusDeath, EmptyDocumentAborts) {
+  EXPECT_DEATH(Corpus({Document{1}, Document{}}),
+               "object 1 has an empty document");
+  std::stringstream stream(KwcpStream({{1}, {}}));
+  EXPECT_DEATH(Corpus::Load(&stream), "object 1 has an empty document");
 }
 
 TEST(InvertedIndex, PostingsAreSortedAndComplete) {
@@ -125,7 +248,7 @@ TEST(InvertedIndex, IntersectMatchesBruteForceRandomized) {
       if (kws.empty()) kws.push_back(static_cast<KeywordId>(rng.NextBounded(12)));
       docs.emplace_back(std::move(kws));
     }
-    Corpus corpus(std::move(docs));
+    Corpus corpus(docs);
     InvertedIndex index(corpus);
     for (int k : {2, 3, 4}) {
       std::vector<KeywordId> q;

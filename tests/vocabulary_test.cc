@@ -85,7 +85,7 @@ TEST(Vocabulary, EndToEndWithStringTags) {
       vocab.MakeDocument({"pool", "parking", "pets"}),
   };
   std::vector<Point<2>> pts = {{{1, 1}}, {{2, 2}}, {{3, 3}}};
-  Corpus corpus(std::move(docs));
+  Corpus corpus(docs);
   FrameworkOptions opt;
   opt.k = 2;
   OrpKwIndex<2> index(pts, &corpus, opt);

@@ -188,6 +188,17 @@ if doc["name"] == "update":
         if gauge not in doc["gauges"]:
             fail(f"update report missing gauge {gauge}")
 
+# The keyword-signature prefilter passes every matching document, so its
+# pass rate bounds the exact one (bench_throughput).
+gauges = doc["gauges"]
+if "verify.signature_pass" in gauges or "verify.exact_pass" in gauges:
+    sig = gauges.get("verify.signature_pass")
+    exact = gauges.get("verify.exact_pass")
+    if not (isinstance(sig, (int, float)) and isinstance(exact, (int, float))
+            and 0 <= exact <= sig <= 1):
+        fail(f"signature pass rates must satisfy 0 <= exact <= signature "
+             f"<= 1 (signature={sig!r}, exact={exact!r})")
+
 print(f"{path}: OK "
       f"({len(doc['points'])} points, {len(doc['histograms'])} histograms, "
       f"{len(doc['counters'])} counters)")
