@@ -1,29 +1,28 @@
 // Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
 //
-// Experiment L — load path: v1 stream deserialization vs v2 mmap flat
-// layout (DESIGN.md, "On-disk layout v2").
+// Experiment L — load path of the v2 mmap flat layout (DESIGN.md, "On-disk
+// layout v2"), the one on-disk form of an index.
 //
-// For each corpus size the bench builds an OrpKwIndex<2>, persists it in
-// both formats, and measures
-//   * load wall time (median) for the stream Load and the mmap LoadFlat,
-//   * the RSS delta of each load (sampled before AND after — the flat path
+// For each corpus size the bench builds an OrpKwIndex<2>, persists it with
+// SaveFlat, and measures
+//   * load wall time (median) of the mmap LoadFlat,
+//   * the RSS delta of the load (sampled before AND after — the flat path
 //     should charge almost nothing up front, faulting pages in on demand),
-//   * file sizes (the space axis of the space<->latency curve),
+//   * the file size (the space axis of the space<->latency curve),
 //   * query latency on the pointer-built vs the flat-loaded index (the
-//     latency axis), and
-//   * full query-result equivalence across built / stream-loaded /
-//     flat-loaded indexes, plus scalar-vs-AVX2 posting-list intersection
-//     equivalence. Any mismatch hard-fails the bench.
+//     latency axis: the gap a single in-memory representation would close),
+//     and
+//   * full query-result equivalence between the built and the flat-loaded
+//     index, plus scalar-vs-AVX2 posting-list intersection equivalence. Any
+//     mismatch hard-fails the bench.
 //
 // Emits BENCH_load.json (schema-checked by tools/check_bench_json.sh) with
-// gauges flat.bytes_mapped, flat.load_micros, flat.used_mmap and
-// load_speedup — the acceptance bar is mmap load >= 2x faster than stream
-// deserialization at the default size.
+// gauges flat.bytes_mapped, flat.load_micros and flat.used_mmap at the
+// default size.
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,11 +42,8 @@ namespace {
 constexpr uint32_t kDefaultObjects = 65536;
 
 struct LoadSample {
-  double stream_ms = 0;
   double mmap_ms = 0;
-  double stream_rss_bytes = 0;
   double mmap_rss_bytes = 0;
-  double v1_bytes = 0;
   double flat_bytes = 0;
   double built_query_us = 0;
   double flat_query_us = 0;
@@ -96,27 +92,16 @@ LoadSample MeasureOne(uint32_t n_objects, bench::JsonReport* report,
   opt.k = 2;
   const OrpKwIndex<2> built(pts, &corpus, opt);
 
-  const std::string v1_path =
-      "/tmp/kwsc_bench_load_" + std::to_string(n_objects) + ".v1";
   const std::string flat_path =
       "/tmp/kwsc_bench_load_" + std::to_string(n_objects) + ".v2";
   {
-    std::ofstream v1_out(v1_path, std::ios::binary);
-    built.Save(&v1_out);
     std::ofstream flat_out(flat_path, std::ios::binary);
     built.SaveFlat(&flat_out);
   }
 
   LoadSample sample;
 
-  // RSS of the first (cold for this process) load of each format.
-  {
-    const bench::RssDeltaProbe rss;
-    std::ifstream in(v1_path, std::ios::binary);
-    const OrpKwIndex<2> loaded = OrpKwIndex<2>::Load(&in, &corpus);
-    sample.stream_rss_bytes = static_cast<double>(rss.DeltaBytes());
-    sample.v1_bytes = static_cast<double>(loaded.MemoryBytes());
-  }
+  // RSS of the first (cold for this process) load.
   std::shared_ptr<const MmapFile> first_file;
   {
     const bench::RssDeltaProbe rss;
@@ -126,13 +111,6 @@ LoadSample MeasureOne(uint32_t n_objects, bench::JsonReport* report,
     sample.flat_bytes = static_cast<double>(first_file->size());
   }
 
-  sample.stream_ms =
-      bench::MedianMicros([&] {
-        std::ifstream in(v1_path, std::ios::binary);
-        const OrpKwIndex<2> loaded = OrpKwIndex<2>::Load(&in, &corpus);
-        (void)loaded;
-      }) /
-      1e3;
   sample.mmap_ms =
       bench::MedianMicros([&] {
         const auto file = MmapFile::Open(flat_path);
@@ -141,8 +119,8 @@ LoadSample MeasureOne(uint32_t n_objects, bench::JsonReport* report,
       }) /
       1e3;
 
-  // Equivalence: built, stream-loaded, and flat-loaded must answer every
-  // query identically. A mismatch is a correctness bug, not a data point.
+  // Equivalence: built and flat-loaded must answer every query identically.
+  // A mismatch is a correctness bug, not a data point.
   std::vector<std::pair<Box<2>, std::vector<KeywordId>>> batch;
   for (int i = 0; i < 64; ++i) {
     batch.emplace_back(
@@ -153,17 +131,9 @@ LoadSample MeasureOne(uint32_t n_objects, bench::JsonReport* report,
                                      : KeywordPick::kCooccurring,
                           &rng));
   }
-  std::ifstream v1_in(v1_path, std::ios::binary);
-  const OrpKwIndex<2> stream_loaded = OrpKwIndex<2>::Load(&v1_in, &corpus);
   const auto file = MmapFile::Open(flat_path);
   const OrpKwIndex<2> flat_loaded = OrpKwIndex<2>::LoadFlat(file, &corpus);
-  const auto expect = RunBatch(built, batch);
-  if (RunBatch(stream_loaded, batch) != expect) {
-    std::fprintf(stderr, "FATAL: stream-loaded index answers differ (N=%u)\n",
-                 n_objects);
-    std::exit(1);
-  }
-  if (RunBatch(flat_loaded, batch) != expect) {
+  if (RunBatch(flat_loaded, batch) != RunBatch(built, batch)) {
     std::fprintf(stderr, "FATAL: flat-loaded index answers differ (N=%u)\n",
                  n_objects);
     std::exit(1);
@@ -180,10 +150,8 @@ LoadSample MeasureOne(uint32_t n_objects, bench::JsonReport* report,
     report->SetGauge("flat.bytes_mapped", sample.flat_bytes);
     report->SetGauge("flat.load_micros", sample.mmap_ms * 1e3);
     report->SetGauge("flat.used_mmap", file->used_mmap() ? 1.0 : 0.0);
-    report->SetGauge("load_speedup", sample.stream_ms / sample.mmap_ms);
   }
 
-  std::remove(v1_path.c_str());
   std::remove(flat_path.c_str());
   return sample;
 }
@@ -194,13 +162,13 @@ LoadSample MeasureOne(uint32_t n_objects, bench::JsonReport* report,
 int main(int argc, char** argv) {
   using namespace kwsc;
   bench::PrintHeader(
-      "L load path: stream deserialization vs mmap flat layout",
+      "L load path: mmap flat layout",
       "the v2 flat container loads by mapping + pointer fixup only, so load "
-      "time and up-front RSS drop while query answers stay identical");
+      "time and up-front RSS stay small while query answers stay identical");
   bench::JsonReport report("load");
 
   // Optional sweep cap for CI smoke runs: `bench_load [max_objects]`. The
-  // largest size kept becomes the one the acceptance gauges are stamped at.
+  // largest size kept becomes the one the gauges are stamped at.
   uint32_t max_objects = kDefaultObjects;
   if (argc > 1) {
     max_objects = static_cast<uint32_t>(std::strtoul(argv[1], nullptr, 10));
@@ -212,36 +180,24 @@ int main(int argc, char** argv) {
   if (sweep.empty()) sweep.push_back(max_objects);
   const uint32_t default_n = sweep.back();
 
-  std::printf("%10s %12s %12s %9s %14s %14s %12s %12s\n", "N", "stream(ms)",
-              "mmap(ms)", "speedup", "streamRSS", "mmapRSS", "built q(us)",
-              "flat q(us)");
-  double default_speedup = 0;
+  std::printf("%10s %12s %14s %12s %12s\n", "N", "mmap(ms)", "mmapRSS",
+              "built q(us)", "flat q(us)");
   for (uint32_t n : sweep) {
-    const bool is_default = n == default_n;
-    const LoadSample s = MeasureOne(n, &report, is_default);
-    const double speedup = s.stream_ms / s.mmap_ms;
-    if (is_default) default_speedup = speedup;
-    std::printf("%10u %12.2f %12.2f %8.1fx %14s %14s %12.1f %12.1f\n", n,
-                s.stream_ms, s.mmap_ms, speedup,
-                FormatBytes(static_cast<size_t>(s.stream_rss_bytes)).c_str(),
+    const LoadSample s = MeasureOne(n, &report, n == default_n);
+    std::printf("%10u %12.2f %14s %12.1f %12.1f\n", n, s.mmap_ms,
                 FormatBytes(static_cast<size_t>(s.mmap_rss_bytes)).c_str(),
                 s.built_query_us, s.flat_query_us);
     bench::PrintCsv("L",
                     {{"N", static_cast<double>(n)},
-                     {"stream_load_ms", s.stream_ms},
                      {"mmap_load_ms", s.mmap_ms},
-                     {"speedup", speedup},
-                     {"stream_rss_bytes", s.stream_rss_bytes},
                      {"mmap_rss_bytes", s.mmap_rss_bytes},
                      {"flat_file_bytes", s.flat_bytes},
                      {"built_query_us", s.built_query_us},
                      {"flat_query_us", s.flat_query_us}},
                     &report);
   }
-  std::printf("\nquery equivalence: built == stream-loaded == flat-loaded, "
-              "scalar == AVX2 (hard-checked)\n");
-  std::printf("load speedup at N=%u: %.1fx (acceptance: >= 2x)\n", default_n,
-              default_speedup);
+  std::printf("\nquery equivalence: built == flat-loaded, scalar == AVX2 "
+              "(hard-checked)\n");
   bench::EmitJson(&report);
   return 0;
 }

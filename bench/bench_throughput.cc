@@ -4,7 +4,7 @@
 // build-time and batch-throughput scaling across threads are implementation
 // properties this bench makes machine-trackable:
 //   * build: wall-clock of OrpKwIndex construction at 1/2/4/8 threads, with
-//     a byte-identity check of the Save stream against the 1-thread build
+//     a byte-identity check of the SaveFlat bytes against the 1-thread build
 //     (the determinism contract of the arena-splice parallel build);
 //   * query: QPS of the batched engine (core/query_engine.h) over a fixed
 //     mixed batch at 1/2/4/8 threads, with per-query latency histograms
@@ -38,10 +38,10 @@ namespace {
 
 constexpr int kThreadSweep[] = {1, 2, 4, 8};
 
-std::string SaveBytes(const OrpKwIndex<2>& index) {
-  std::stringstream stream;
-  index.Save(&stream);
-  return stream.str();
+std::string SaveFlatBytes(const OrpKwIndex<2>& index) {
+  std::ostringstream out;
+  index.SaveFlat(&out);
+  return out.str();
 }
 
 /// Over every in-box (object, query) pair of the batch, the share whose
@@ -109,7 +109,7 @@ void Run(uint32_t num_objects, int num_queries) {
     WallTimer timer;
     OrpKwIndex<2> index(pts, &corpus, opt);
     const double ms = timer.ElapsedMillis();
-    const std::string bytes = SaveBytes(index);
+    const std::string bytes = SaveFlatBytes(index);
     if (threads == 1) {
       sequential_bytes = bytes;
       sequential_ms = ms;

@@ -27,7 +27,7 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/dynamic_orp_kw.h"
+#include "core/dynamic_index.h"
 #include "core/orp_kw.h"
 #include "core/query_engine.h"
 #include "obs/histogram.h"
@@ -112,7 +112,7 @@ void Run(uint32_t num_objects, uint32_t batch, int queries_per_batch) {
   // carries (no pool) so every carry's cost lands inside the measured wall.
   std::vector<std::vector<ObjectId>> dynamic_rows;
   WallTimer dynamic_timer;
-  DynamicOrpKwIndex<2> dynamic(opt, /*buffer_capacity=*/256);
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/256);
   for (size_t b = 0; b < num_batches; ++b) {
     const uint32_t begin = static_cast<uint32_t>(b * batch);
     const uint32_t end =
@@ -215,7 +215,7 @@ void Run(uint32_t num_objects, uint32_t batch, int queries_per_batch) {
   // snapshots the whole time, and the bench records a latency histogram for
   // each regime.
   ThreadPool pool(2);
-  DynamicOrpKwIndex<2> concurrent(opt, /*buffer_capacity=*/batch, &pool);
+  DynamicIndex<OrpKwIndex<2>> concurrent(opt, /*buffer_capacity=*/batch, &pool);
   concurrent.InsertBatch(stream.points, stream.docs);
   concurrent.WaitQuiescent();
 

@@ -2,14 +2,16 @@
 //
 // Persistence: build an ORP-KW index once, save it with the corpus to disk,
 // and reload both in a fraction of the build time — the workflow a serving
-// system uses (build offline, load on start-up).
+// system uses (build offline, load on start-up). The index is written as a
+// flat container and reloaded by mapping the file (LoadFlat); the corpus is
+// its own stream and is supplied again on load.
 //
 //   $ ./build/examples/persist_reload
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
+#include "common/flat_arena.h"
 #include "common/random.h"
 #include "common/timer.h"
 #include "core/orp_kw.h"
@@ -39,14 +41,15 @@ int main() {
     std::ofstream corpus_out(corpus_path, std::ios::binary);
     corpus.Save(&corpus_out);
     std::ofstream index_out(index_path, std::ios::binary);
-    index.Save(&index_out);
+    index.SaveFlat(&index_out);
   }
 
   WallTimer load_timer;
   std::ifstream corpus_in(corpus_path, std::ios::binary);
   Corpus loaded_corpus = Corpus::Load(&corpus_in);
-  std::ifstream index_in(index_path, std::ios::binary);
-  OrpKwIndex<2> loaded = OrpKwIndex<2>::Load(&index_in, &loaded_corpus);
+  const auto index_file = MmapFile::Open(index_path);
+  if (index_file == nullptr) return 1;
+  OrpKwIndex<2> loaded = OrpKwIndex<2>::LoadFlat(index_file, &loaded_corpus);
   const double load_ms = load_timer.ElapsedMillis();
 
   // Same answers from the reloaded index.

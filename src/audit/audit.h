@@ -61,8 +61,8 @@ enum class AuditCheck : uint8_t {
   /// Rank-space reduction: per-dimension ranks form a permutation and match
   /// the stored rank points (Section 3.4).
   kRankSpace,
-  /// Save -> Load -> Save byte-identity (determinism contract of the
-  /// serialization layer; see DESIGN.md, "Threading model").
+  /// SaveFlat -> LoadFlat -> SaveFlat byte-identity (determinism contract
+  /// of the persistence layer; see DESIGN.md, "Threading model").
   kSerialization,
   /// v2 flat-container well-formedness: header magic/tag, slab offsets
   /// 64-byte aligned and in bounds, secondary-structure sortedness and id

@@ -56,9 +56,10 @@
 
 namespace kwsc {
 
-/// Both the v1 stream archives and the v2 flat containers write host-endian
-/// bytes; the formats are defined as little-endian on disk. Refuse to build
-/// on exotic hosts instead of silently writing byte-swapped archives.
+/// Both the stream archives (corpus, dynamic checkpoint) and the v2 flat
+/// containers write host-endian bytes; the formats are defined as
+/// little-endian on disk. Refuse to build on exotic hosts instead of
+/// silently writing byte-swapped files.
 static_assert(std::endian::native == std::endian::little,
               "kwsc on-disk formats are little-endian; big-endian hosts "
               "would need byte-swapping shims in serialize.h/flat_arena.h");

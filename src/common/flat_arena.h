@@ -3,8 +3,8 @@
 // Flat (v2) on-disk layout primitives: a 64-byte header, 64-byte-aligned
 // typed slabs addressed by byte offsets, and an mmap-backed read path.
 //
-// The v1 stream format (common/serialize.h) deserializes every field through
-// InputArchive and pointer-rebuilds the index, so cold-start costs a full
+// Every index persists in this one form. A stream format would deserialize
+// every field and pointer-rebuild the index, so cold-start would cost a full
 // O(index) pass plus an RSS copy. The v2 "flat" format instead lays the bulk
 // payload — posting lists, pivot pools, tuple registries, rank tables — out
 // as contiguous trivially-copyable slabs; loading is an mmap plus header
@@ -104,8 +104,9 @@ class MmapFile {
   /// the file cannot be opened or read.
   static std::shared_ptr<const MmapFile> Open(const std::string& path);
 
-  /// Wraps in-memory bytes (tests, flat_convert): copies into a 64-byte-
-  /// aligned heap buffer so alignment checks behave exactly as on disk.
+  /// Wraps in-memory bytes (tests, the auditor's round trip): copies into a
+  /// 64-byte-aligned heap buffer so alignment checks behave exactly as on
+  /// disk.
   static std::shared_ptr<const MmapFile> FromBytes(std::string bytes);
 
   ~MmapFile();
@@ -131,8 +132,8 @@ class MmapFile {
 
 /// Serializes one flat container: append slabs, set the root, stream out.
 /// Deterministic: byte content depends only on the call sequence (padding is
-/// zeroed), so flat containers obey the same byte-identity discipline the
-/// auditor enforces for v1 archives.
+/// zeroed), so a container re-saved from a loaded index is byte-identical —
+/// the discipline the auditor's serialization check enforces.
 class FlatArenaWriter {
  public:
   explicit FlatArenaWriter(uint32_t family_tag) : family_tag_(family_tag) {

@@ -1,13 +1,14 @@
 // Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
 //
-// Minimal binary archives for persisting indexes.
+// Minimal binary stream archives.
 //
-// Indexes in this library are static: build once, query forever. Building,
-// however, is O(N polylog N) with real constants (keyword counting at every
-// node), so a downstream user wants to build once and reload from disk.
-// The format is little-endian PODs with explicit sizes, a magic tag and a
-// version per top-level object; readers abort on malformed input via
-// KWSC_CHECK (the archives are trusted local files, not a network surface).
+// Indexes persist as v2 flat containers (common/flat_arena.h). The two
+// streams that are not indexes use these archives: the corpus ("KWCP",
+// text/corpus.h) and the batch-dynamic checkpoint ("KWDY",
+// core/dynamic_index.h). The format is little-endian PODs with explicit
+// sizes, a magic tag and a version per top-level object; readers abort on
+// malformed input via KWSC_CHECK (the archives are trusted local files, not
+// a network surface).
 
 #ifndef KWSC_COMMON_SERIALIZE_H_
 #define KWSC_COMMON_SERIALIZE_H_
@@ -31,7 +32,7 @@ namespace kwsc {
 // little-endian layout is only true because the host is. Fail the build on
 // big-endian targets instead of writing archives other hosts cannot read.
 static_assert(std::endian::native == std::endian::little,
-              "v1 archives are little-endian on disk; this host would need "
+              "stream archives are little-endian on disk; this host would need "
               "byte-swapping Pod/Vec shims");
 
 /// Buffered binary writer. Per-value ostream::write calls for Pod dominate
@@ -41,9 +42,9 @@ static_assert(std::endian::native == std::endian::little,
 /// identical to the unbuffered writer's (serialize_test asserts this).
 ///
 /// Interleaving hazard: anything that writes to the same raw stream while an
-/// OutputArchive is live (e.g. a nested `engine_->Save(out)` that builds its
-/// own archive) must be preceded by Flush(), or the buffered bytes land
-/// after the nested ones.
+/// OutputArchive is live (e.g. a nested save that builds its own archive)
+/// must be preceded by Flush(), or the buffered bytes land after the nested
+/// ones.
 class OutputArchive {
  public:
   explicit OutputArchive(std::ostream* out) : out_(out) {

@@ -4,11 +4,11 @@
 //
 // Every Table 1 family (ORP-KW, dimension reduction, RR-KW, L∞NN-KW,
 // LC/SP-KW, the baselines) implements the same four-step transformation, and
-// PR 2's runtime auditor verifies the *built* indexes against the paper's
+// the runtime auditor verifies the *built* indexes against the paper's
 // invariants. What the auditor cannot see is interface drift: a family whose
-// Build/Query/Save/Load surface quietly diverges from the framework still
-// compiles and only fails once a test (or a user) exercises the missing
-// piece. The concepts here pin that surface at compile time —
+// Build/Query/SaveFlat/LoadFlat surface quietly diverges from the framework
+// still compiles and only fails once a test (or a user) exercises the
+// missing piece. The concepts here pin that surface at compile time —
 // tests/contracts_test.cc instantiates them over every family and substrate,
 // so removing or retyping a required member is a build break, not a runtime
 // surprise.
@@ -21,10 +21,10 @@
 //   step 3 (query descent with budgeted scans)        -> BudgetedKwQueryable
 //     and friends: QueryStats exposure plus an OpsBudget entry point (the
 //     "manual termination" device of footnote 4);
-//   step 4 (degeneracy removal / persistence)         -> ArchiveSerializable
-//     and StreamPersistable: symmetric Save/Load so a reloaded index is the
-//     built index (byte-identity is checked at runtime by the auditor; the
-//     *presence and shape* of the pair is checked here).
+//   step 4 (degeneracy removal / persistence)         -> FlatPersistable:
+//     a SaveFlat/LoadFlat pair so a reloaded index is the built index
+//     (byte-identity is checked at runtime by the auditor; the *presence
+//     and shape* of the pair is checked here).
 
 #ifndef KWSC_CORE_CONTRACTS_H_
 #define KWSC_CORE_CONTRACTS_H_
@@ -33,12 +33,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "audit/audit_access.h"
+#include "common/flat_arena.h"
 #include "common/ops_budget.h"
-#include "common/serialize.h"
 #include "core/framework.h"
 #include "text/corpus.h"
 #include "text/document.h"
@@ -46,39 +47,20 @@
 namespace kwsc {
 
 // ---------------------------------------------------------------------------
-// Archive contracts (framework step 4: persistence of the built structure).
+// Persistence contracts (framework step 4: the built structure, stored).
 // ---------------------------------------------------------------------------
 
-/// Writes itself into an OutputArchive. Components (NodeDirectory,
-/// RankSpace) serialize through archives; top-level indexes wrap a stream.
+/// Index persistence: SaveFlat writes the built index as one v2 flat
+/// container (common/flat_arena.h), and static LoadFlat attaches an index
+/// to mapped container bytes plus the corpus it was built over (the corpus
+/// is persisted separately — see Corpus::Save — and re-supplied on load).
+/// The flat container is an index's only on-disk form.
 template <typename T>
-concept ArchiveSavable = requires(const T& t, OutputArchive* out) {
-  { t.Save(out) } -> std::same_as<void>;
-};
-
-/// Restores itself in place from an InputArchive.
-template <typename T>
-concept ArchiveLoadable = requires(T& t, InputArchive* in) {
-  { t.Load(in) } -> std::same_as<void>;
-};
-
-/// The symmetric component pair: Save(OutputArchive*) matched by a Load that
-/// rebuilds a default-constructed instance. kwsc_lint's archive-symmetry
-/// rule additionally checks that the two bodies issue the same ordered
-/// Magic/Pod/Vec sequence; this concept pins the signatures.
-template <typename T>
-concept ArchiveSerializable =
-    std::default_initializable<T> && ArchiveSavable<T> && ArchiveLoadable<T>;
-
-/// Top-level index persistence: Save to a stream, static Load from a stream
-/// plus the corpus the index was built over (the corpus is persisted
-/// separately — see Corpus::Save — and re-supplied on load).
-template <typename T>
-concept StreamPersistable =
-    requires(const T& t, std::ostream* out, std::istream* in,
-             const Corpus* corpus) {
-      { t.Save(out) } -> std::same_as<void>;
-      { T::Load(in, corpus) } -> std::same_as<T>;
+concept FlatPersistable =
+    requires(const T& t, std::ostream* out,
+             std::shared_ptr<const MmapFile> file, const Corpus* corpus) {
+      { t.SaveFlat(out) } -> std::same_as<void>;
+      { T::LoadFlat(file, corpus) } -> std::same_as<T>;
     };
 
 /// Self-contained persistence (Corpus): static Load needs only the stream.

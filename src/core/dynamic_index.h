@@ -31,9 +31,7 @@
 // queries proceed; the buffer is allowed to grow past capacity while a
 // merge is in flight (at most one runs at a time) and the deferred carry
 // drains when it completes. Without a pool, carries run synchronously, and
-// the structure behaves exactly like the original hand-rolled
-// DynamicOrpKwIndex (core/dynamic_orp_kw.h is now an alias for this
-// template over OrpKwIndex).
+// the structure is a pure function of the update sequence.
 //
 // Budgeted queries (footnote 4): the OpsBudget is shared across the buffer
 // scan and every level; the first component to exhaust it ends the query —
@@ -43,7 +41,7 @@
 // tombstones, buffer, and the level manifest (slot -> id list); levels are
 // deterministically rebuilt on load, so the checkpoint costs O(n) bytes
 // regardless of level count. Compact() rebuilds one static index over the
-// live objects in insertion order; after quiescence its Save bytes are
+// live objects in insertion order; after quiescence its SaveFlat bytes are
 // identical to a from-scratch build over the same object set
 // (tests/dynamic_index_test.cc holds this as a hard invariant).
 
@@ -94,9 +92,6 @@ class DynamicIndex {
  public:
   using GeomType = typename Family::DynamicGeomType;
   using RegionType = typename Family::DynamicRegionType;
-  // Legacy spellings kept for the ORP-KW alias (core/dynamic_orp_kw.h).
-  using PointType = GeomType;
-  using BoxType = RegionType;
 
   /// One immutable static level. Public so the auditor can walk the level
   /// set through DebugAuditView(); never mutated after construction.
@@ -354,6 +349,10 @@ class DynamicIndex {
     }
     const std::vector<ObjectId> dead_ids = ar.Vec<ObjectId>();
     index->buffer_ids_ = ar.Vec<ObjectId>();
+    for (ObjectId id : index->buffer_ids_) {
+      KWSC_CHECK_MSG(id < header.num_objects,
+                     "checkpoint buffer id %u out of range", id);
+    }
     index->num_objects_ = header.num_objects;
     auto dead = std::make_shared<std::vector<uint8_t>>();
     dead->resize(header.num_objects, 0);
@@ -389,9 +388,10 @@ class DynamicIndex {
   }
 
   /// A compacted static rebuild: the live objects in insertion order, their
-  /// corpus, and one Family index over them. After WaitQuiescent(), Save of
-  /// the returned index is byte-identical to a from-scratch build over the
-  /// same object set — the acceptance invariant of the dynamic layer.
+  /// corpus, and one Family index over them. After WaitQuiescent(), the
+  /// SaveFlat bytes of the returned index equal those of a from-scratch
+  /// build over the same object set — the acceptance invariant of the
+  /// dynamic layer.
   struct Compacted {
     std::vector<ObjectId> ids;  // Global ids, insertion order.
     std::vector<GeomType> geoms;

@@ -6,10 +6,10 @@
 // FlatNodeRec per node plus five shared pools the per-node records index
 // into: the pivot pool, the large-keyword table pool, the tuple-key pool,
 // and the materialized entry/object pools. Node records keep the same DFS
-// preorder as the in-memory arena — the auditor's tree-structure check and
-// the v1 archive both pin that order, so flat and pointer-built indexes stay
-// byte-comparable. (ISSUE 6 floats a BFS/van-Emde-Boas order; DESIGN.md "On-
-// disk layout v2" records why preorder is kept.)
+// preorder as the in-memory arena — the auditor's tree-structure check pins
+// that order, so a flat-loaded index re-saves to the built index's bytes.
+// (DESIGN.md "On-disk layout v2" records why preorder is kept over a
+// BFS/van-Emde-Boas order.)
 //
 // FlatDirPoolWriter flattens NodeDirectory contents through the canonical
 // sorted getters; FlatDirPoolReader re-points directories at the mapped

@@ -22,9 +22,11 @@
 // FORMATS.lock (tools/run_abi.sh --update) must be committed in the same
 // change. Versions only grow.
 //
-// v1 stream archives write their constant through Magic(tag, version); the
-// flat KWF2 container and the serve wire model carry no version byte on
-// the wire, so their constants exist purely as the manifest's bump target.
+// Only the two stream formats, the corpus (KWCP) and the dynamic checkpoint
+// (KWDY), write their constant into the file, through Magic(tag, version).
+// Every index persists as a flat KWF2 container, and neither the flat
+// containers nor the serve wire model carry a version field, so their
+// constants exist purely as the manifest's bump target.
 
 #ifndef KWSC_CORE_FORMAT_VERSIONS_H_
 #define KWSC_CORE_FORMAT_VERSIONS_H_
@@ -36,14 +38,14 @@ namespace kwsc {
 /// kwsc-abi: format corpus tags=KWCP files=text/corpus
 inline constexpr uint32_t kCorpusFormatVersion = 1;
 
-/// kwsc-abi: format orp-kw tags=KWO1,KWO2 files=core/orp_kw
-inline constexpr uint32_t kOrpKwFormatVersion = 1;
+/// kwsc-abi: format orp-kw tags=KWO2 files=core/orp_kw
+inline constexpr uint32_t kOrpKwFormatVersion = 2;
 
-/// kwsc-abi: format sp-kw-box tags=KWS1,KWS2 files=core/sp_kw_box
-inline constexpr uint32_t kSpKwBoxFormatVersion = 1;
+/// kwsc-abi: format sp-kw-box tags=KWS2 files=core/sp_kw_box
+inline constexpr uint32_t kSpKwBoxFormatVersion = 2;
 
-/// kwsc-abi: format linf-nn tags=KWN1,KWN2 files=core/nn_linf
-inline constexpr uint32_t kLinfNnFormatVersion = 1;
+/// kwsc-abi: format linf-nn tags=KWN2 files=core/nn_linf
+inline constexpr uint32_t kLinfNnFormatVersion = 2;
 
 /// kwsc-abi: format l2-nn tags=KWL2 files=core/nn_l2
 inline constexpr uint32_t kL2NnFormatVersion = 1;
@@ -64,15 +66,15 @@ inline constexpr uint32_t kKsiFormatVersion = 1;
 inline constexpr uint32_t kDynamicCheckpointFormatVersion = 1;
 
 /// Shared persisted substructures every family embeds: the framework
-/// options image, NodeDirectory's stream and flat forms, the flat node
-/// records and directory pools, rank-space images, and the geometric Pods
-/// (Point/Box) slabs are built from. Bump when any shared layout changes.
+/// options image, NodeDirectory's flat form, the flat node records and
+/// directory pools, rank-space images, and the geometric Pods (Point/Box)
+/// slabs are built from. Bump when any shared layout changes.
 /// kwsc-abi: format framework-core files=core/framework.h,core/node_directory,core/flat_format,geom/rank_space,geom/point,geom/box
-inline constexpr uint32_t kFrameworkCoreFormatVersion = 1;
+inline constexpr uint32_t kFrameworkCoreFormatVersion = 2;
 
-/// The container layers themselves: the v1 stream archive (Magic/Pod/Vec
-/// framing) and the v2 mmap-native flat arena ("KWF2" header, 64-byte slab
-/// alignment, SlabRef framing).
+/// The container layers themselves: the stream archive (Magic/Pod/Vec
+/// framing) the KWCP and KWDY streams use, and the v2 mmap-native flat
+/// arena ("KWF2" header, 64-byte slab alignment, SlabRef framing).
 /// kwsc-abi: format flat-container tags=KWF2 files=common/flat_arena,common/serialize
 inline constexpr uint32_t kFlatContainerFormatVersion = 2;
 

@@ -69,9 +69,9 @@ struct FrameworkOptions {
   /// Threads used to build the index (and, via core/query_engine.h, to shard
   /// query batches): 0 = one per hardware thread, 1 = fully sequential.
   /// Every setting produces the same index — parallel builds are
-  /// byte-identical under Save — so this is purely a wall-clock knob. It is
-  /// an execution property, not an index property, and is therefore excluded
-  /// from serialization (see PersistedFrameworkOptions).
+  /// byte-identical under SaveFlat — so this is purely a wall-clock knob. It
+  /// is an execution property, not an index property, and is therefore
+  /// excluded from serialization (see PersistedFrameworkOptions).
   int num_threads = 1;
 
   /// Records a per-query trace (phase spans + a QueryStats snapshot per

@@ -35,7 +35,6 @@
 #include "common/flat_arena.h"
 #include "common/macros.h"
 #include "core/dim_reduction.h"
-#include "core/format_versions.h"
 #include "core/framework.h"
 #include "core/orp_kw.h"
 #include "geom/box.h"
@@ -113,45 +112,13 @@ class LinfNnIndex {
     return total;
   }
 
-  /// Persistence (d <= 2 engines only, i.e. where Engine is OrpKwIndex;
-  /// the dimension-reduction engine rebuilds quickly enough that persisting
-  /// its per-node sub-corpora is not worth the disk footprint).
-  void Save(std::ostream* out) const
-    requires(D <= 2)
-  {
-    OutputArchive ar(out);
-    ar.Magic("KWN1", kLinfNnFormatVersion);
-    ar.Pod<uint32_t>(static_cast<uint32_t>(D));
-    ar.Vec(points_.view());
-    for (int dim = 0; dim < D; ++dim) ar.Vec(sorted_coords_[dim].view());
-    // The engine writes to the raw stream next; the buffered archive must
-    // hand its bytes over first or the two interleave out of order.
-    ar.Flush();
-    engine_->Save(out);
-  }
-
-  static LinfNnIndex Load(std::istream* in, const Corpus* corpus)
-    requires(D <= 2)
-  {
-    InputArchive ar(in);
-    const uint32_t version = ar.Magic("KWN1");
-    KWSC_CHECK_MSG(version == kLinfNnFormatVersion,
-                   "unsupported index version %u", version);
-    KWSC_CHECK_MSG(ar.Pod<uint32_t>() == static_cast<uint32_t>(D),
-                   "index dimensionality mismatch");
-    LinfNnIndex index{PrivateTag{}};
-    index.points_.Assign(ar.Vec<PointType>());
-    for (int dim = 0; dim < D; ++dim) {
-      index.sorted_coords_[dim].Assign(ar.Vec<Scalar>());
-    }
-    index.engine_.emplace(Engine::Load(in, corpus));
-    return index;
-  }
-
-  // ---- v2 flat layout: this wrapper's own container (points plus the
-  // per-dimension candidate-radius arrays) followed immediately by the
-  // wrapped ORP-KW engine's container. Both are padded to the alignment
-  // quantum, so the engine's offset stays 64-byte aligned. ----
+  // ---- Persistence (d <= 2 engines only, i.e. where Engine is OrpKwIndex;
+  // the dimension-reduction engine rebuilds quickly enough that persisting
+  // its per-node sub-corpora is not worth the disk footprint). The v2 flat
+  // layout: this wrapper's own container (points plus the per-dimension
+  // candidate-radius arrays) followed immediately by the wrapped ORP-KW
+  // engine's container. Both are padded to the alignment quantum, so the
+  // engine's offset stays 64-byte aligned. ----
 
   static constexpr uint32_t kFlatFamilyTag = FlatFamilyTag('K', 'W', 'N', '2');
 
@@ -347,8 +314,7 @@ class LinfNnIndex {
   struct PrivateTag {};
   explicit LinfNnIndex(PrivateTag) {}
 
-  // Owned after a build or v1 load; zero-copy views into mmap_ after
-  // LoadFlat.
+  // Owned after a build; zero-copy views into mmap_ after LoadFlat.
   OwnedSpan<PointType> points_;
   std::array<OwnedSpan<Scalar>, D> sorted_coords_;
   std::optional<Engine> engine_;

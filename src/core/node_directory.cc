@@ -177,55 +177,6 @@ size_t NodeDirectory::MemoryBytes() const {
   return total;
 }
 
-void NodeDirectory::Save(OutputArchive* ar) const {
-  // All containers go through the canonical sorted getters, so owned and
-  // flat directories emit byte-identical archives.
-  ar->Vec(pivots());
-  ar->Pod(weight());
-
-  ar->Vec(LargeEntriesSorted());
-
-  ar->Pod<uint32_t>(static_cast<uint32_t>(num_children()));
-  for (size_t c = 0; c < num_children(); ++c) {
-    ar->Vec(ChildTupleKeysSorted(c));
-  }
-
-  ar->Pod<uint32_t>(static_cast<uint32_t>(num_materialized()));
-  ForEachMaterializedSorted([ar](KeywordId w, std::span<const ObjectId> list) {
-    ar->Pod(w);
-    ar->Vec(list);
-  });
-}
-
-void NodeDirectory::Load(InputArchive* ar) {
-  flat_mode_ = false;
-  flat_ = FlatDirView();
-
-  pivots_ = ar->Vec<ObjectId>();
-  weight_ = ar->Pod<uint64_t>();
-
-  const auto large_entries = ar->Vec<FlatLargeEntry>();
-  large_ = FlatHashMap<KeywordId, uint32_t>();
-  large_.Reserve(large_entries.size());
-  for (const auto& entry : large_entries) large_[entry.keyword] = entry.lid;
-
-  const uint32_t num_children = ar->Pod<uint32_t>();
-  child_tuples_.assign(num_children, FlatHashSet<uint64_t>());
-  for (uint32_t c = 0; c < num_children; ++c) {
-    const auto keys = ar->Vec<uint64_t>();
-    child_tuples_[c].Reserve(keys.size());
-    for (uint64_t key : keys) child_tuples_[c].Insert(key);
-  }
-
-  const uint32_t num_lists = ar->Pod<uint32_t>();
-  materialized_ = FlatHashMap<KeywordId, std::vector<ObjectId>>();
-  materialized_.Reserve(num_lists);
-  for (uint32_t i = 0; i < num_lists; ++i) {
-    const KeywordId w = ar->Pod<KeywordId>();
-    materialized_[w] = ar->Vec<ObjectId>();
-  }
-}
-
 uint64_t DirectoryBuilder::WeightOf(std::span<const ObjectId> objects) const {
   uint64_t weight = 0;
   for (ObjectId e : objects) weight += corpus_->doc(e).size();

@@ -18,13 +18,12 @@
 // would waste space without changing any answer.
 //
 // The directory runs in one of two modes:
-//   * owned — hash tables and vectors built by DirectoryBuilder or
-//     deserialized from a v1 stream archive;
+//   * owned — hash tables and vectors built by DirectoryBuilder;
 //   * flat — sorted spans into the memory-mapped slabs of a v2 flat
 //     container (AttachFlat). Lookups switch from hashing to binary search
 //     over the canonical sorted order; nothing is copied off the mapping.
 // Query and save paths are mode-agnostic, so a flat-loaded index answers
-// identically and re-saves to a byte-identical v1 archive.
+// identically and re-saves to byte-identical flat bytes.
 
 #ifndef KWSC_CORE_NODE_DIRECTORY_H_
 #define KWSC_CORE_NODE_DIRECTORY_H_
@@ -38,7 +37,6 @@
 
 #include "common/abi.h"
 #include "common/flat_hash.h"
-#include "common/serialize.h"
 #include "core/framework.h"
 #include "text/corpus.h"
 #include "text/document.h"
@@ -49,8 +47,8 @@ namespace audit {
 struct AuditAccess;
 }  // namespace audit
 
-/// One large-keyword table entry in canonical (keyword-ascending) order.
-/// Doubles as the v1 archive record and the v2 flat slab element.
+/// One large-keyword table entry in canonical (keyword-ascending) order:
+/// the v2 flat slab element.
 struct FlatLargeEntry {
   KeywordId keyword;
   uint32_t lid;
@@ -130,8 +128,8 @@ class NodeDirectory {
   //
   // Owned-mode hash iteration order is seeded per-process, so these
   // canonicalize to keyword/key-ascending order; flat mode stores exactly
-  // that order already. The v1 Save below is built on them, which is what
-  // makes a flat-loaded index re-save byte-identically.
+  // that order already. FlatDirPoolWriter (core/flat_format.h) is built on
+  // them, which is what makes a flat-loaded index re-save byte-identically.
 
   size_t num_materialized() const {
     return flat_mode_ ? flat_.materialized.size() : materialized_.size();
@@ -167,11 +165,6 @@ class NodeDirectory {
   }
 
   size_t MemoryBytes() const;
-
-  /// Binary v1 persistence (the index owns the surrounding framing). Save
-  /// works in both modes and emits the same canonical byte stream.
-  void Save(OutputArchive* ar) const;
-  void Load(InputArchive* ar);
 
   /// Switches to flat mode over `view` (spans into a mapped v2 container).
   /// Owned storage is released; the caller guarantees the backing bytes

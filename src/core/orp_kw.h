@@ -40,10 +40,8 @@
 #include "common/macros.h"
 #include "common/memory.h"
 #include "common/ops_budget.h"
-#include "common/serialize.h"
 #include "common/thread_pool.h"
 #include "core/flat_format.h"
-#include "core/format_versions.h"
 #include "core/framework.h"
 #include "core/node_directory.h"
 #include "geom/box.h"
@@ -79,7 +77,7 @@ class OrpKwIndex {
   /// `pool`, when non-null, is a shared task pool the build forks subtree
   /// tasks onto (the dimension-reduction index builds its secondaries this
   /// way); otherwise `options.num_threads` decides whether the build spins
-  /// up its own. The built index — including its Save byte stream — is
+  /// up its own. The built index — including its SaveFlat bytes — is
   /// identical for every thread count.
   OrpKwIndex(std::span<const PointType> points, const Corpus* corpus,
              FrameworkOptions options, ThreadPool* pool = nullptr)
@@ -216,63 +214,14 @@ class OrpKwIndex {
     return depth;
   }
 
-  /// Persists the full index (construction is expensive; reloading is a
-  /// sequential read). The corpus is saved separately (Corpus::Save) and
-  /// supplied again on Load; a fingerprint guards against mismatches.
-  void Save(std::ostream* out) const {
-    OutputArchive ar(out);
-    ar.Magic("KWO1", kOrpKwFormatVersion);
-    ar.Pod<uint32_t>(static_cast<uint32_t>(D));
-    SaveFrameworkOptions(&ar, options_);
-    ar.Pod<uint64_t>(corpus_->num_objects());
-    ar.Pod<uint64_t>(corpus_->total_weight());
-    rank_.Save(&ar);
-    ar.Vec(rank_points_.view());
-    ar.Pod<uint64_t>(nodes_.size());
-    for (const Node& node : nodes_) {
-      ar.Pod(node.cell);
-      ar.Pod(node.child[0]);
-      ar.Pod(node.child[1]);
-      ar.Pod(node.level);
-      node.dir.Save(&ar);
-    }
-  }
-
-  /// Rebuilds an index previously written by Save. `corpus` must be the
-  /// same corpus (same objects in the same order) the index was built over.
-  static OrpKwIndex Load(std::istream* in, const Corpus* corpus) {
-    KWSC_CHECK(corpus != nullptr);
-    InputArchive ar(in);
-    const uint32_t version = ar.Magic("KWO1");
-    KWSC_CHECK_MSG(version == kOrpKwFormatVersion,
-                   "unsupported index version %u", version);
-    KWSC_CHECK_MSG(ar.Pod<uint32_t>() == static_cast<uint32_t>(D),
-                   "index dimensionality mismatch");
-    OrpKwIndex index(corpus);
-    index.options_ = LoadFrameworkOptions(&ar);
-    KWSC_CHECK_MSG(ar.Pod<uint64_t>() == corpus->num_objects(),
-                   "corpus object count mismatch");
-    KWSC_CHECK_MSG(ar.Pod<uint64_t>() == corpus->total_weight(),
-                   "corpus weight mismatch");
-    index.rank_.Load(&ar);
-    index.rank_points_.Assign(ar.Vec<Point<D, int64_t>>());
-    const uint64_t num_nodes = ar.Pod<uint64_t>();
-    index.nodes_.resize(num_nodes);
-    for (Node& node : index.nodes_) {
-      node.cell = ar.Pod<RankBox>();
-      node.child[0] = ar.Pod<int32_t>();
-      node.child[1] = ar.Pod<int32_t>();
-      node.level = ar.Pod<int16_t>();
-      node.dir.Load(&ar);
-    }
-    return index;
-  }
-
-  // ---- v2 flat layout (common/flat_arena.h; DESIGN.md "On-disk layout
-  // v2"). SaveFlat writes one offset-addressed container; LoadFlat is an
-  // mmap plus header/structure validation — the bulk payload (rank tables,
-  // rank points, directory pools) stays mapped and only the O(num_nodes)
-  // arena is rebuilt, each directory attached as a zero-copy view. ----
+  // ---- Persistence: the v2 flat layout (common/flat_arena.h; DESIGN.md
+  // "On-disk layout v2") is the index's only on-disk form. SaveFlat writes
+  // one offset-addressed container; LoadFlat is an mmap plus
+  // header/structure validation — the bulk payload (rank tables, rank
+  // points, directory pools) stays mapped and only the O(num_nodes) arena
+  // is rebuilt, each directory attached as a zero-copy view. The corpus is
+  // saved separately (Corpus::Save) and supplied again on LoadFlat; the
+  // object count and weight guard against a mismatch. ----
 
   static constexpr uint32_t kFlatFamilyTag = FlatFamilyTag('K', 'W', 'O', '2');
 
@@ -325,7 +274,7 @@ class OrpKwIndex {
 
   /// Opens a flat container over mapped bytes. The returned index keeps
   /// `file` alive; `offset` addresses nested containers inside wrapper
-  /// formats. Any structural problem aborts (same policy as v1 Load).
+  /// formats. Any structural problem aborts.
   static OrpKwIndex LoadFlat(std::shared_ptr<const MmapFile> file,
                              const Corpus* corpus, uint64_t offset = 0,
                              uint32_t expected_tag = kFlatFamilyTag) {
@@ -422,7 +371,7 @@ class OrpKwIndex {
   // directly; see audit/audit_access.h.
   friend struct audit::AuditAccess;
 
-  // Shell constructor used by Load.
+  // Shell constructor used by LoadFlat.
   explicit OrpKwIndex(const Corpus* corpus) : corpus_(corpus) {}
 
   struct Node {
@@ -509,7 +458,7 @@ class OrpKwIndex {
   // indices — onto `arena`, rebasing the indices. Returns the subtree root's
   // index in `arena`, or -1 for an empty subtree. Splicing left then right
   // after a forked build reproduces the sequential DFS preorder exactly,
-  // which is what makes parallel builds byte-identical under Save.
+  // which is what makes parallel builds byte-identical under SaveFlat.
   static int32_t SpliceArena(std::vector<Node>* arena, std::vector<Node>* sub) {
     if (sub->empty()) return -1;
     const int32_t base = static_cast<int32_t>(arena->size());
@@ -735,8 +684,7 @@ class OrpKwIndex {
   const Corpus* corpus_;
   FrameworkOptions options_;
   RankSpace<D, Scalar> rank_;
-  // Owned after a build or v1 load; a zero-copy view into mmap_ after
-  // LoadFlat.
+  // Owned after a build; a zero-copy view into mmap_ after LoadFlat.
   OwnedSpan<Point<D, int64_t>> rank_points_;
   std::vector<Node> nodes_;
   // Keeps the mapped bytes every flat view points into alive.

@@ -34,7 +34,6 @@
 #include "common/memory.h"
 #include "common/ops_budget.h"
 #include "core/flat_format.h"
-#include "core/format_versions.h"
 #include "core/framework.h"
 #include "core/node_directory.h"
 #include "geom/box.h"
@@ -134,57 +133,11 @@ class SpKwBoxIndex {
     return total;
   }
 
-  /// Persistence: same contract as OrpKwIndex::Save/Load — the corpus is
-  /// stored separately and must be re-supplied on Load.
-  void Save(std::ostream* out) const {
-    OutputArchive ar(out);
-    ar.Magic("KWS1", kSpKwBoxFormatVersion);
-    ar.Pod<uint32_t>(static_cast<uint32_t>(D));
-    SaveFrameworkOptions(&ar, options_);
-    ar.Pod<uint64_t>(corpus_->num_objects());
-    ar.Pod<uint64_t>(corpus_->total_weight());
-    ar.Vec(points_.view());
-    ar.Pod<uint64_t>(nodes_.size());
-    for (const Node& node : nodes_) {
-      ar.Pod(node.cell);
-      ar.Pod(node.child[0]);
-      ar.Pod(node.child[1]);
-      ar.Pod(node.level);
-      node.dir.Save(&ar);
-    }
-  }
-
-  static SpKwBoxIndex Load(std::istream* in, const Corpus* corpus) {
-    KWSC_CHECK(corpus != nullptr);
-    InputArchive ar(in);
-    const uint32_t version = ar.Magic("KWS1");
-    KWSC_CHECK_MSG(version == kSpKwBoxFormatVersion,
-                   "unsupported index version %u", version);
-    KWSC_CHECK_MSG(ar.Pod<uint32_t>() == static_cast<uint32_t>(D),
-                   "index dimensionality mismatch");
-    SpKwBoxIndex index(corpus);
-    index.options_ = LoadFrameworkOptions(&ar);
-    KWSC_CHECK_MSG(ar.Pod<uint64_t>() == corpus->num_objects(),
-                   "corpus object count mismatch");
-    KWSC_CHECK_MSG(ar.Pod<uint64_t>() == corpus->total_weight(),
-                   "corpus weight mismatch");
-    index.points_.Assign(ar.Vec<PointType>());
-    const uint64_t num_nodes = ar.Pod<uint64_t>();
-    index.nodes_.resize(num_nodes);
-    for (Node& node : index.nodes_) {
-      node.cell = ar.Pod<Box<D, Scalar>>();
-      node.child[0] = ar.Pod<int32_t>();
-      node.child[1] = ar.Pod<int32_t>();
-      node.level = ar.Pod<int16_t>();
-      node.dir.Load(&ar);
-    }
-    return index;
-  }
-
-  // ---- v2 flat layout: same scheme as OrpKwIndex, with original-space
-  // points in place of the rank tables (DESIGN.md "On-disk layout v2").
-  // Wrapper families (SR-KW, and LC-KW for D >= 2 via the alias) reuse the
-  // container under their own family tag. ----
+  // ---- Persistence: the v2 flat layout, same scheme as OrpKwIndex, with
+  // original-space points in place of the rank tables (DESIGN.md "On-disk
+  // layout v2"). The corpus is saved separately and re-supplied on
+  // LoadFlat. Wrapper families (SR-KW, and LC-KW for D >= 2 via the alias)
+  // reuse the container under their own family tag. ----
 
   static constexpr uint32_t kFlatFamilyTag = FlatFamilyTag('K', 'W', 'S', '2');
 
@@ -316,7 +269,7 @@ class SpKwBoxIndex {
   // directly; see audit/audit_access.h.
   friend struct audit::AuditAccess;
 
-  // Shell constructor used by Load.
+  // Shell constructor used by LoadFlat.
   explicit SpKwBoxIndex(const Corpus* corpus) : corpus_(corpus) {}
 
   struct Node {
@@ -504,8 +457,7 @@ class SpKwBoxIndex {
 
   const Corpus* corpus_;
   FrameworkOptions options_;
-  // Owned after a build or v1 load; a zero-copy view into mmap_ after
-  // LoadFlat.
+  // Owned after a build; a zero-copy view into mmap_ after LoadFlat.
   OwnedSpan<PointType> points_;
   std::vector<Node> nodes_;
   std::shared_ptr<const MmapFile> mmap_;

@@ -8,9 +8,9 @@
 // query rectangle converts to a rank rectangle in O(log N) per dimension
 // (binary search on the sorted coordinates) without changing its result set.
 //
-// Storage is OwnedSpan-backed: the tables are owned vectors when built or
-// v1-loaded, and zero-copy views into a mapped v2 flat container after
-// AttachFlat (the owning index keeps the mapping alive).
+// Storage is OwnedSpan-backed: the tables are owned vectors when built, and
+// zero-copy views into a mapped v2 flat container after AttachFlat (the
+// owning index keeps the mapping alive).
 
 #ifndef KWSC_GEOM_RANK_SPACE_H_
 #define KWSC_GEOM_RANK_SPACE_H_
@@ -26,7 +26,6 @@
 #include "common/flat_arena.h"
 #include "common/macros.h"
 #include "common/memory.h"
-#include "common/serialize.h"
 #include "geom/box.h"
 #include "geom/point.h"
 
@@ -109,22 +108,6 @@ class RankSpace {
       total += sorted_coords_[dim].MemoryBytes() + ranks_[dim].MemoryBytes();
     }
     return total;
-  }
-
-  void Save(OutputArchive* ar) const {
-    ar->Pod<uint64_t>(num_points_);
-    for (int dim = 0; dim < D; ++dim) {
-      ar->Vec(sorted_coords_[dim].view());
-      ar->Vec(ranks_[dim].view());
-    }
-  }
-
-  void Load(InputArchive* ar) {
-    num_points_ = ar->Pod<uint64_t>();
-    for (int dim = 0; dim < D; ++dim) {
-      sorted_coords_[dim].Assign(ar->Vec<Scalar>());
-      ranks_[dim].Assign(ar->Vec<int64_t>());
-    }
   }
 
   /// Writes both tables as flat slabs and returns their references.

@@ -66,28 +66,114 @@ struct ServeOptions {
   bool parallel_fanout = true;
 };
 
+/// What one coordinated batch returns, for static and dynamic replicas
+/// alike.
+struct ServeResult {
+  /// One row per query, ascending global ids, truncated to top_t when
+  /// set — the canonical form of the unsharded answer.
+  std::vector<std::vector<ObjectId>> rows;
+  /// Aggregate stats folded over shards in shard order.
+  QueryStats stats;
+  uint64_t budget_exhaustions = 0;
+  /// Wire-cost model for this batch's merge (see serve/merge.h).
+  MergeByteCounters bytes;
+  double wall_micros = 0.0;
+  /// Shard-local execution walls — max() models the scatter phase of a
+  /// real S-process deployment, independent of how many cores this host
+  /// happens to timeslice the simulation onto.
+  std::vector<double> shard_wall_micros;
+  double merge_micros = 0.0;
+};
+
+/// One scatter-gather round over `replicas` (any replica type whose
+/// RunBatch(batch) returns a ShardBatchAnswer): scatter the whole batch to
+/// every shard — on `pool` when non-null, shard 0 on the calling thread —
+/// gather the answers in shard order (the determinism contract), merge each
+/// query's S disjoint sorted rows with the protocol `options` selects, and
+/// accumulate the serve.* counters in `registry` when non-null.
+template <typename Replica, typename Region>
+ServeResult ScatterGather(
+    const std::vector<std::unique_ptr<Replica>>& replicas, ThreadPool* pool,
+    const ServeOptions& options, obs::MetricsRegistry* registry,
+    std::span<const BatchQuery<Region>> batch) {
+  ServeResult out;
+  out.rows.resize(batch.size());
+  WallTimer timer;
+  const size_t num_shards = replicas.size();
+  // Scatter: every shard runs the whole batch over its slice. Answers land
+  // in disjoint slots.
+  std::vector<ShardBatchAnswer> answers(num_shards);
+  if (pool != nullptr) {
+    TaskGroup group(pool);
+    for (size_t s = 1; s < num_shards; ++s) {
+      group.Run([&replicas, batch, &answers, s] {
+        answers[s] = replicas[s]->RunBatch(batch);
+      });
+    }
+    answers[0] = replicas[0]->RunBatch(batch);
+  } else {
+    for (size_t s = 0; s < num_shards; ++s) {
+      answers[s] = replicas[s]->RunBatch(batch);
+    }
+  }
+  const double scatter_end_us = timer.ElapsedMicros();
+  // Gather: fold shard answers in shard order (the determinism contract).
+  std::vector<uint64_t> shard_candidates(num_shards, 0);
+  out.shard_wall_micros.reserve(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    MergeQueryStats(answers[s].stats, &out.stats);
+    out.budget_exhaustions += answers[s].budget_exhaustions;
+    out.shard_wall_micros.push_back(answers[s].wall_micros);
+    for (const auto& row : answers[s].rows) shard_candidates[s] += row.size();
+  }
+  // Merge, one query at a time over its S disjoint sorted rows.
+  std::vector<const std::vector<ObjectId>*> shard_rows(num_shards);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    for (size_t s = 0; s < num_shards; ++s) {
+      shard_rows[s] = &answers[s].rows[i];
+    }
+    if (options.top_t == 0) {
+      // Full reporting: the answer is the whole candidate set, so there is
+      // nothing for selection to save — both protocols ship it all.
+      const uint64_t naive = NaiveShipBytes(shard_rows);
+      out.bytes.naive += naive;
+      out.bytes.selection += naive;
+      out.rows[i] = MergeAllRows(shard_rows);
+    } else if (options.selection_merge) {
+      out.rows[i] = SelectTopT(shard_rows, options.top_t, &out.bytes);
+    } else {
+      const uint64_t naive = NaiveShipBytes(shard_rows);
+      out.bytes.naive += naive;
+      out.bytes.selection += naive;
+      std::vector<ObjectId> merged = MergeAllRows(shard_rows);
+      if (merged.size() > options.top_t) merged.resize(options.top_t);
+      out.rows[i] = std::move(merged);
+    }
+  }
+  out.merge_micros = timer.ElapsedMicros() - scatter_end_us;
+  out.wall_micros = timer.ElapsedMicros();
+  if (registry != nullptr) {
+    registry->AddCounter("serve.batches", 1);
+    registry->AddCounter("serve.queries", batch.size());
+    registry->AddCounter("serve.shard_fanout", batch.size() * num_shards);
+    registry->AddCounter("serve.bytes_shipped", out.bytes.selection);
+    registry->AddCounter("serve.bytes_naive", out.bytes.naive);
+    registry->AddCounter("serve.merge_rounds", out.bytes.selection_rounds);
+    registry->AddCounter("serve.budget_exhausted", out.budget_exhaustions);
+    for (size_t s = 0; s < num_shards; ++s) {
+      registry->AddCounter("serve.shard" + std::to_string(s) + ".candidates",
+                           shard_candidates[s]);
+    }
+  }
+  return out;
+}
+
 template <typename Index, typename Region = typename Index::BoxType>
 class Coordinator {
  public:
   using PointType = typename Index::PointType;
   using Replica = ShardReplica<Index, Region>;
-
-  struct Result {
-    /// One row per query, ascending global ids, truncated to top_t when
-    /// set — the canonical form of the unsharded answer.
-    std::vector<std::vector<ObjectId>> rows;
-    /// Aggregate stats folded over shards in shard order.
-    QueryStats stats;
-    uint64_t budget_exhaustions = 0;
-    /// Wire-cost model for this batch's merge (see serve/merge.h).
-    MergeByteCounters bytes;
-    double wall_micros = 0.0;
-    /// Shard-local execution walls — max() models the scatter phase of a
-    /// real S-process deployment, independent of how many cores this host
-    /// happens to timeslice the simulation onto.
-    std::vector<double> shard_wall_micros;
-    double merge_micros = 0.0;
-  };
+  using Result = ServeResult;
 
   /// Builds one replica per plan shard over private slices of
   /// (points, corpus). The inputs are only read during construction.
@@ -118,79 +204,7 @@ class Coordinator {
   const Replica& replica(size_t s) const { return *replicas_[s]; }
 
   Result Run(std::span<const BatchQuery<Region>> batch) {
-    Result out;
-    out.rows.resize(batch.size());
-    WallTimer timer;
-    const size_t num_shards = replicas_.size();
-    // Scatter: every shard runs the whole batch over its slice. Answers
-    // land in disjoint slots; shard 0 runs on the calling thread.
-    std::vector<typename Replica::BatchAnswer> answers(num_shards);
-    if (pool_ != nullptr) {
-      TaskGroup group(pool_.get());
-      for (size_t s = 1; s < num_shards; ++s) {
-        group.Run([this, batch, &answers, s] {
-          answers[s] = replicas_[s]->RunBatch(batch);
-        });
-      }
-      answers[0] = replicas_[0]->RunBatch(batch);
-    } else {
-      for (size_t s = 0; s < num_shards; ++s) {
-        answers[s] = replicas_[s]->RunBatch(batch);
-      }
-    }
-    const double scatter_end_us = timer.ElapsedMicros();
-    // Gather: fold shard answers in shard order (the determinism contract).
-    std::vector<uint64_t> shard_candidates(num_shards, 0);
-    out.shard_wall_micros.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      MergeQueryStats(answers[s].stats, &out.stats);
-      out.budget_exhaustions += answers[s].budget_exhaustions;
-      out.shard_wall_micros.push_back(answers[s].wall_micros);
-      for (const auto& row : answers[s].rows) {
-        shard_candidates[s] += row.size();
-      }
-    }
-    // Merge, one query at a time over its S disjoint sorted rows.
-    std::vector<const std::vector<ObjectId>*> shard_rows(num_shards);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      for (size_t s = 0; s < num_shards; ++s) {
-        shard_rows[s] = &answers[s].rows[i];
-      }
-      if (options_.top_t == 0) {
-        // Full reporting: the answer is the whole candidate set, so there
-        // is nothing for selection to save — both protocols ship it all.
-        const uint64_t naive = NaiveShipBytes(shard_rows);
-        out.bytes.naive += naive;
-        out.bytes.selection += naive;
-        out.rows[i] = MergeAllRows(shard_rows);
-      } else if (options_.selection_merge) {
-        out.rows[i] = SelectTopT(shard_rows, options_.top_t, &out.bytes);
-      } else {
-        const uint64_t naive = NaiveShipBytes(shard_rows);
-        out.bytes.naive += naive;
-        out.bytes.selection += naive;
-        std::vector<ObjectId> merged = MergeAllRows(shard_rows);
-        if (merged.size() > options_.top_t) merged.resize(options_.top_t);
-        out.rows[i] = std::move(merged);
-      }
-    }
-    out.merge_micros = timer.ElapsedMicros() - scatter_end_us;
-    out.wall_micros = timer.ElapsedMicros();
-    if (registry_ != nullptr) {
-      registry_->AddCounter("serve.batches", 1);
-      registry_->AddCounter("serve.queries", batch.size());
-      registry_->AddCounter("serve.shard_fanout", batch.size() * num_shards);
-      registry_->AddCounter("serve.bytes_shipped", out.bytes.selection);
-      registry_->AddCounter("serve.bytes_naive", out.bytes.naive);
-      registry_->AddCounter("serve.merge_rounds", out.bytes.selection_rounds);
-      registry_->AddCounter("serve.budget_exhausted", out.budget_exhaustions);
-      for (size_t s = 0; s < num_shards; ++s) {
-        registry_->AddCounter("serve.shard" + std::to_string(s) +
-                                  ".candidates",
-                              shard_candidates[s]);
-      }
-    }
-    return out;
+    return ScatterGather(replicas_, pool_.get(), options_, registry_, batch);
   }
 
  private:

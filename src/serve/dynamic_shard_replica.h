@@ -10,8 +10,9 @@
 // a background merge pool — while queries keep running against immutable
 // epoch snapshots. The DynamicCoordinator fronts S such replicas and serves
 // mixed update/query traffic: updates route to their owning shard, query
-// batches scatter-gather over all shards with the same merge protocols
-// (serve/merge.h) and byte accounting as the static Coordinator.
+// batches run through the static Coordinator's ScatterGather
+// (serve/coordinator.h) — the same merge protocols, byte accounting and
+// serve.* counters.
 //
 // Routing: a static plan is a function of the full corpus, which a dynamic
 // workload does not have up front. Dynamic arrivals therefore route by
@@ -34,7 +35,6 @@
 #include <algorithm>
 #include <memory>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -48,7 +48,6 @@
 #include "core/query_engine.h"
 #include "obs/metrics.h"
 #include "serve/coordinator.h"
-#include "serve/merge.h"
 #include "text/document.h"
 
 namespace kwsc {
@@ -71,15 +70,6 @@ class DynamicShardReplica {
  public:
   using GeomType = typename Family::DynamicGeomType;
   using Update = DynamicUpdate<GeomType>;
-
-  /// Same wire shape as the static replica's answer: sorted global-id rows
-  /// plus the shard's aggregate stats and local execution wall.
-  struct BatchAnswer {
-    std::vector<std::vector<ObjectId>> rows;
-    QueryStats stats;
-    uint64_t budget_exhaustions = 0;
-    double wall_micros = 0.0;
-  };
 
   DynamicShardReplica(const FrameworkOptions& options, size_t buffer_capacity,
                       uint64_t per_query_ops, ThreadPool* merge_pool = nullptr)
@@ -145,9 +135,9 @@ class DynamicShardReplica {
   /// to sorted global ids. Queries here deliberately bypass QueryEngine:
   /// snapshot reads are already wait-free, and batch parallelism in the
   /// dynamic path comes from the shard fan-out, not intra-shard threads.
-  BatchAnswer RunBatch(std::span<const BatchQuery<Region>> batch) const
+  ShardBatchAnswer RunBatch(std::span<const BatchQuery<Region>> batch) const
       KWSC_EXCLUDES(mu_) {
-    BatchAnswer answer;
+    ShardBatchAnswer answer;
     WallTimer timer;
     answer.rows.reserve(batch.size());
     for (const BatchQuery<Region>& q : batch) {
@@ -202,19 +192,7 @@ class DynamicCoordinator {
   using GeomType = typename Family::DynamicGeomType;
   using Replica = DynamicShardReplica<Family, Region>;
   using Update = typename Replica::Update;
-
-  /// Same shape as Coordinator::Result (not aliased: the static Coordinator
-  /// template requires a point-buildable index surface some dynamizable
-  /// families — RR-KW builds from rectangles — do not expose).
-  struct Result {
-    std::vector<std::vector<ObjectId>> rows;
-    QueryStats stats;
-    uint64_t budget_exhaustions = 0;
-    MergeByteCounters bytes;
-    double wall_micros = 0.0;
-    std::vector<double> shard_wall_micros;
-    double merge_micros = 0.0;
-  };
+  using Result = ServeResult;
 
   DynamicCoordinator(uint32_t num_shards, const FrameworkOptions& index_options,
                      const ServeOptions& options, size_t buffer_capacity = 64,
@@ -311,69 +289,10 @@ class DynamicCoordinator {
     return total;
   }
 
-  /// Scatter-gather over all shards — structurally the static
-  /// Coordinator::Run with dynamic replicas: every shard runs the whole
-  /// batch against its current snapshot, answers land in disjoint slots,
-  /// and the gather folds them in shard order with the same merge
-  /// protocols and wire-cost model.
+  /// Scatter-gather over all shards: every shard runs the whole batch
+  /// against its current snapshot (see ScatterGather).
   Result Run(std::span<const BatchQuery<Region>> batch) {
-    Result out;
-    out.rows.resize(batch.size());
-    WallTimer timer;
-    const size_t num_shards = replicas_.size();
-    std::vector<typename Replica::BatchAnswer> answers(num_shards);
-    if (pool_ != nullptr) {
-      TaskGroup group(pool_.get());
-      for (size_t s = 1; s < num_shards; ++s) {
-        group.Run([this, batch, &answers, s] {
-          answers[s] = replicas_[s]->RunBatch(batch);
-        });
-      }
-      answers[0] = replicas_[0]->RunBatch(batch);
-    } else {
-      for (size_t s = 0; s < num_shards; ++s) {
-        answers[s] = replicas_[s]->RunBatch(batch);
-      }
-    }
-    const double scatter_end_us = timer.ElapsedMicros();
-    for (size_t s = 0; s < num_shards; ++s) {
-      MergeQueryStats(answers[s].stats, &out.stats);
-      out.budget_exhaustions += answers[s].budget_exhaustions;
-      out.shard_wall_micros.push_back(answers[s].wall_micros);
-    }
-    std::vector<const std::vector<ObjectId>*> shard_rows(num_shards);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      for (size_t s = 0; s < num_shards; ++s) {
-        shard_rows[s] = &answers[s].rows[i];
-      }
-      if (options_.top_t == 0) {
-        const uint64_t naive = NaiveShipBytes(shard_rows);
-        out.bytes.naive += naive;
-        out.bytes.selection += naive;
-        out.rows[i] = MergeAllRows(shard_rows);
-      } else if (options_.selection_merge) {
-        out.rows[i] = SelectTopT(shard_rows, options_.top_t, &out.bytes);
-      } else {
-        const uint64_t naive = NaiveShipBytes(shard_rows);
-        out.bytes.naive += naive;
-        out.bytes.selection += naive;
-        std::vector<ObjectId> merged = MergeAllRows(shard_rows);
-        if (merged.size() > options_.top_t) merged.resize(options_.top_t);
-        out.rows[i] = std::move(merged);
-      }
-    }
-    out.merge_micros = timer.ElapsedMicros() - scatter_end_us;
-    out.wall_micros = timer.ElapsedMicros();
-    if (registry_ != nullptr) {
-      registry_->AddCounter("serve.batches", 1);
-      registry_->AddCounter("serve.queries", batch.size());
-      registry_->AddCounter("serve.shard_fanout", batch.size() * num_shards);
-      registry_->AddCounter("serve.bytes_shipped", out.bytes.selection);
-      registry_->AddCounter("serve.bytes_naive", out.bytes.naive);
-      registry_->AddCounter("serve.merge_rounds", out.bytes.selection_rounds);
-      registry_->AddCounter("serve.budget_exhausted", out.budget_exhaustions);
-    }
-    return out;
+    return ScatterGather(replicas_, pool_.get(), options_, registry_, batch);
   }
 
  private:

@@ -68,22 +68,22 @@ class BudgetedIndexView {
   uint64_t per_query_ops_ = 0;
 };
 
+/// What a shard sends back for one batch, static and dynamic replicas
+/// alike: one sorted global-id row per query plus the shard's aggregate
+/// stats. wall_micros is the shard-local execution wall — on a real
+/// deployment, the time this shard's process was busy.
+struct ShardBatchAnswer {
+  std::vector<std::vector<ObjectId>> rows;
+  QueryStats stats;
+  uint64_t budget_exhaustions = 0;
+  double wall_micros = 0.0;
+};
+
 template <typename Index, typename Region = typename Index::BoxType>
 class ShardReplica {
  public:
   using PointType = typename Index::PointType;
   using Engine = QueryEngine<BudgetedIndexView<Index>, Region>;
-
-  /// What a shard sends back for one batch: one sorted global-id row per
-  /// query plus the shard's aggregate stats. wall_micros is the shard-local
-  /// execution wall — on a real deployment, the time this shard's process
-  /// was busy.
-  struct BatchAnswer {
-    std::vector<std::vector<ObjectId>> rows;
-    QueryStats stats;
-    uint64_t budget_exhaustions = 0;
-    double wall_micros = 0.0;
-  };
 
   /// Copies the member slice of (points, corpus) and builds the private
   /// index. `members` must be ascending global ids; `num_threads` is the
@@ -120,8 +120,8 @@ class ShardReplica {
   /// ids. Local emission order is index-specific, so rows are canonicalized
   /// (sorted ascending) at the shard before they cross the wire — the
   /// canonical order DESIGN.md §6d's determinism contract is stated in.
-  BatchAnswer RunBatch(std::span<const BatchQuery<Region>> batch) {
-    BatchAnswer answer;
+  ShardBatchAnswer RunBatch(std::span<const BatchQuery<Region>> batch) {
+    ShardBatchAnswer answer;
     WallTimer timer;
     typename Engine::BatchResult result = engine_->Run(batch);
     answer.rows.resize(result.rows.size());

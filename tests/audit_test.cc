@@ -42,8 +42,8 @@ using audit::AuditIndex;
 using audit::AuditOptions;
 using audit::AuditReport;
 
-// Corrupted indexes cannot go through Save/Load (the archive layer has its
-// own KWSC_CHECK aborts); the structural walk is what is under test.
+// Corrupted indexes cannot go through SaveFlat/LoadFlat (the flat loader
+// has its own KWSC_CHECK aborts); the structural walk is what is under test.
 AuditOptions NoSerialization() {
   AuditOptions options;
   options.check_serialization = false;

@@ -5,13 +5,13 @@
 //
 // Nearly everything here is a static_assert: the test "runs" by compiling.
 // Each assertion names the family and the contract it must keep, so removing
-// a required member (a Save, a budget parameter, a stats out-param) from any
-// family breaks this translation unit with a message pointing at the
+// a required member (a SaveFlat, a budget parameter, a stats out-param) from
+// any family breaks this translation unit with a message pointing at the
 // violated paper step rather than deep inside a caller. The negative block
 // at the bottom proves the concepts actually discriminate — a type missing
-// Save, or with a Load of the wrong shape, is rejected — which is what the
-// try_compile harness in tests/negative_compile/ re-checks from a clean
-// translation unit.
+// SaveFlat, or with a LoadFlat of the wrong shape, is rejected — which is
+// what the try_compile harness in tests/negative_compile/ re-checks from a
+// clean translation unit.
 
 #include "core/contracts.h"
 
@@ -24,7 +24,7 @@
 #include "baseline/structured_only.h"
 #include "core/appendix_g.h"
 #include "core/dim_reduction.h"
-#include "core/dynamic_orp_kw.h"
+#include "core/dynamic_index.h"
 #include "core/lc_kw.h"
 #include "core/nn_l2.h"
 #include "core/nn_l2_approx.h"
@@ -58,21 +58,21 @@ static_assert(KwIndexFamily<OrpKwIndex<1>, OrpBox<1>>);
 static_assert(KwIndexFamily<OrpKwIndex<2>, OrpBox<2>>);
 static_assert(KwIndexFamily<OrpKwIndex<3>, OrpBox<3>>);
 static_assert(ThresholdDetecting<OrpKwIndex<2>, OrpBox<2>>);
-static_assert(StreamPersistable<OrpKwIndex<1>>);
-static_assert(StreamPersistable<OrpKwIndex<2>>);
-static_assert(StreamPersistable<OrpKwIndex<3>>);
+static_assert(FlatPersistable<OrpKwIndex<1>>);
+static_assert(FlatPersistable<OrpKwIndex<2>>);
+static_assert(FlatPersistable<OrpKwIndex<3>>);
 static_assert(DirectlyAuditable<OrpKwIndex<2>>);
 static_assert(AuditableFamily<OrpKwIndex<2>>);
 
 // ---------------------------------------------------------------------------
 // Dimension reduction (Theorem 2): same query surface in d >= 3; the
 // doubly-exponential tree holds per-node sub-corpora, so it is deliberately
-// not stream-persistable (rebuilds are cheap relative to its disk image).
+// not persistable (rebuilds are cheap relative to its disk image).
 // ---------------------------------------------------------------------------
 static_assert(KwIndexFamily<DimRedOrpKwIndex<3>, OrpBox<3>>);
 static_assert(KwIndexFamily<DimRedOrpKwIndex<4>, OrpBox<4>>);
 static_assert(ThresholdDetecting<DimRedOrpKwIndex<3>, OrpBox<3>>);
-static_assert(!StreamPersistable<DimRedOrpKwIndex<3>>);
+static_assert(!FlatPersistable<DimRedOrpKwIndex<3>>);
 static_assert(DirectlyAuditable<DimRedOrpKwIndex<3>>);
 
 // ---------------------------------------------------------------------------
@@ -86,6 +86,9 @@ static_assert(BudgetedKwQueryable<RrKwIndex<2>, OrpBox<2>>);
 static_assert(ExposesArity<RrKwIndex<2>> && MemoryAccounted<RrKwIndex<2>>);
 static_assert(DelegatingAuditable<RrKwIndex<2>>);
 static_assert(AuditableFamily<RrKwIndex<2>>);
+// Persistence exists exactly where the lifted engine is the kd-path.
+static_assert(FlatPersistable<RrKwIndex<1>>);
+static_assert(!FlatPersistable<RrKwIndex<2>>);
 // Rectangles are not points: the point-build contract must not claim RR-KW.
 static_assert(!PointBuildable<RrKwIndex<2>> ||
                   std::same_as<RrKwIndex<2>::RectType,
@@ -117,14 +120,15 @@ static_assert(!DynamizableFamily<DimRedOrpKwIndex<3>>);
 static_assert(PointBuildable<LinfNnIndex<2>>);
 static_assert(NearestKwQueryable<LinfNnIndex<2>>);
 static_assert(MemoryAccounted<LinfNnIndex<2>> && ExposesArity<LinfNnIndex<2>>);
-static_assert(StreamPersistable<LinfNnIndex<2>>);
+static_assert(FlatPersistable<LinfNnIndex<2>>);
 static_assert(NearestKwQueryable<LinfNnIndex<3>>);
-static_assert(!StreamPersistable<LinfNnIndex<3>>);
+static_assert(!FlatPersistable<LinfNnIndex<3>>);
 static_assert(DelegatingAuditable<LinfNnIndex<2>>);
 
 static_assert(PointBuildable<L2NnIndex<2>>);
 static_assert(NearestKwQueryable<L2NnIndex<2>>);
 static_assert(MemoryAccounted<L2NnIndex<2>> && ExposesArity<L2NnIndex<2>>);
+static_assert(FlatPersistable<L2NnIndex<2>>);
 
 static_assert(PointBuildable<ApproxL2NnIndex<2>>);
 static_assert(NearestKwQueryable<ApproxL2NnIndex<2>>);
@@ -138,7 +142,7 @@ static_assert(MemoryAccounted<ApproxL2NnIndex<2>>);
 static_assert(KwIndexFamily<SpKwBoxIndex<2>, ConvexQuery<2>>);
 static_assert(KwIndexFamily<SpKwBoxIndex<3>, ConvexQuery<3>>);
 static_assert(ThresholdDetecting<SpKwBoxIndex<2>, ConvexQuery<2>>);
-static_assert(StreamPersistable<SpKwBoxIndex<2>>);
+static_assert(FlatPersistable<SpKwBoxIndex<2>>);
 static_assert(DirectlyAuditable<SpKwBoxIndex<2>>);
 
 static_assert(KwIndexFamily<SpKwHsIndex, ConvexQuery<2>>);
@@ -154,17 +158,19 @@ static_assert(KwIndexFamily<LcKwIndex<3>, ConvexQuery<3>>);
 static_assert(PointBuildable<SrpKwIndex<2>>);
 static_assert(BallKwQueryable<SrpKwIndex<2>>);
 static_assert(MemoryAccounted<SrpKwIndex<2>> && ExposesArity<SrpKwIndex<2>>);
+static_assert(FlatPersistable<SrpKwIndex<2>>);
 static_assert(DelegatingAuditable<SrpKwIndex<2>>);
 
 // ---------------------------------------------------------------------------
 // Dynamic ORP-KW (logarithmic method): built empty from options, queried
 // without a budget (each level charges its own); memory-accounted.
 // ---------------------------------------------------------------------------
-static_assert(
-    std::constructible_from<DynamicOrpKwIndex<2>, FrameworkOptions>);
-static_assert(MemoryAccounted<DynamicOrpKwIndex<2>>);
-static_assert(requires(const DynamicOrpKwIndex<2>& index, const OrpBox<2>& q,
-                       std::span<const KeywordId> kws, QueryStats* stats) {
+static_assert(std::constructible_from<DynamicIndex<OrpKwIndex<2>>,
+                                      FrameworkOptions>);
+static_assert(MemoryAccounted<DynamicIndex<OrpKwIndex<2>>>);
+static_assert(requires(const DynamicIndex<OrpKwIndex<2>>& index,
+                       const OrpBox<2>& q, std::span<const KeywordId> kws,
+                       QueryStats* stats) {
   { index.Query(q, kws, stats) } -> std::same_as<std::vector<ObjectId>>;
 });
 
@@ -228,17 +234,14 @@ static_assert(
                      std::declval<std::span<const uint64_t>>())),
                  HamSandwichCut>);
 
-static_assert(ArchiveSerializable<NodeDirectory>);
 static_assert(MemoryAccounted<NodeDirectory>);
-static_assert(ArchiveSerializable<RankSpace<1, double>>);
-static_assert(ArchiveSerializable<RankSpace<2, double>>);
 static_assert(MemoryAccounted<RankSpace<2, double>>);
 
 static_assert(SelfPersistable<Corpus>);
 static_assert(MemoryAccounted<Corpus>);
-// Corpus::Load takes no corpus argument — the stream-persistable contract
-// (which re-supplies one) must not claim it, and vice versa for indexes.
-static_assert(!StreamPersistable<Corpus>);
+// The corpus persists as a stream that needs nothing else; an index needs
+// its corpus back. Neither contract claims the other's types.
+static_assert(!FlatPersistable<Corpus>);
 static_assert(!SelfPersistable<OrpKwIndex<2>>);
 
 // The batched engine accepts any box-queryable family.
@@ -255,45 +258,49 @@ static_assert(std::constructible_from<QueryEngine<OrpKwIndex<2>>,
 // ---------------------------------------------------------------------------
 
 struct Conforming {
-  void Save(OutputArchive* ar) const;
-  void Load(InputArchive* ar);
+  void SaveFlat(std::ostream* out) const;
+  static Conforming LoadFlat(std::shared_ptr<const MmapFile> file,
+                             const Corpus* corpus);
 };
-static_assert(ArchiveSerializable<Conforming>);
+static_assert(FlatPersistable<Conforming>);
 
-// Missing Save entirely.
+// Missing SaveFlat entirely.
 struct BadNoSave {
-  void Load(InputArchive* ar);
+  static BadNoSave LoadFlat(std::shared_ptr<const MmapFile> file,
+                            const Corpus* corpus);
 };
-static_assert(!ArchiveSerializable<BadNoSave>);
+static_assert(!FlatPersistable<BadNoSave>);
 
-// Save exists but is not const-callable.
+// SaveFlat exists but is not const-callable.
 struct BadMutableSave {
-  void Save(OutputArchive* ar);
-  void Load(InputArchive* ar);
+  void SaveFlat(std::ostream* out);
+  static BadMutableSave LoadFlat(std::shared_ptr<const MmapFile> file,
+                                 const Corpus* corpus);
 };
-static_assert(!ArchiveSerializable<BadMutableSave>);
+static_assert(!FlatPersistable<BadMutableSave>);
 
-// Save takes the wrong archive type (asymmetric pair).
-struct BadSaveArchive {
-  void Save(InputArchive* ar) const;
-  void Load(InputArchive* ar);
+// SaveFlat takes the wrong stream direction (asymmetric pair).
+struct BadSaveStream {
+  void SaveFlat(std::istream* in) const;
+  static BadSaveStream LoadFlat(std::shared_ptr<const MmapFile> file,
+                                const Corpus* corpus);
 };
-static_assert(!ArchiveSerializable<BadSaveArchive>);
+static_assert(!FlatPersistable<BadSaveStream>);
 
-// Load returns a value instead of filling in place: the round-trip would
-// silently discard the rebuilt state.
+// LoadFlat returns the wrong type: the caller would never get the index.
 struct BadLoadReturn {
-  void Save(OutputArchive* ar) const;
-  int Load(InputArchive* ar);
+  void SaveFlat(std::ostream* out) const;
+  static int LoadFlat(std::shared_ptr<const MmapFile> file,
+                      const Corpus* corpus);
 };
-static_assert(!ArchiveSerializable<BadLoadReturn>);
+static_assert(!FlatPersistable<BadLoadReturn>);
 
-// Static Load returning the wrong type fails the stream contract.
-struct BadStaticLoad {
-  void Save(std::ostream* out) const;
-  static int Load(std::istream* in, const Corpus* corpus);
+// LoadFlat without the corpus: an index cannot answer without it.
+struct BadLoadWithoutCorpus {
+  void SaveFlat(std::ostream* out) const;
+  static BadLoadWithoutCorpus LoadFlat(std::shared_ptr<const MmapFile> file);
 };
-static_assert(!StreamPersistable<BadStaticLoad>);
+static_assert(!FlatPersistable<BadLoadWithoutCorpus>);
 
 // A query entry point without the OpsBudget parameter is not budgeted.
 struct BadUnbudgetedQuery {

@@ -5,13 +5,15 @@
 // conjunctions), and RR-KW (rectangles/rectangles). The hard invariants:
 // batched insert/delete sequences answer exactly like a freshly built
 // static index over the live object set, the multi-level auditor is clean
-// at every checkpoint, and Save after quiescence is byte-identical to a
-// from-scratch build. Plus: checkpoint round-trips, registry-once memory
-// accounting through insert→delete→reinsert cycles, and background merges
-// with concurrent-consistency spot checks.
+// at every checkpoint, and Compact() after quiescence saves the same flat
+// bytes as a from-scratch build. Plus: checkpoint round-trips (and the
+// rejection of a checkpoint naming an object it does not hold),
+// registry-once memory accounting through insert→delete→reinsert cycles, and
+// background merges with concurrent-consistency spot checks.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -20,7 +22,6 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/dynamic_index.h"
-#include "core/dynamic_orp_kw.h"
 #include "core/orp_kw.h"
 #include "core/rr_kw.h"
 #include "core/sp_kw_box.h"
@@ -31,6 +32,7 @@ namespace kwsc {
 namespace {
 
 using testing::ExpectAuditClean;
+using testing::SaveFlatToBytes;
 using testing::Sorted;
 
 Document RandomDoc(Rng& rng) {
@@ -48,7 +50,7 @@ std::vector<KeywordId> RandomQueryKeywords(Rng& rng) {
           static_cast<KeywordId>(15 + rng.NextBounded(15))};
 }
 
-// ---- Per-family generators and the family-appropriate Save bytes. ----
+// ---- Per-family generators. ----
 
 struct OrpFamilyCase {
   using Family = OrpKwIndex<2>;
@@ -64,11 +66,6 @@ struct OrpFamilyCase {
       q.hi[dim] = std::max(a, b);
     }
     return q;
-  }
-  static std::string SaveBytes(const Family& index) {
-    std::ostringstream out;
-    index.Save(&out);
-    return out.str();
   }
 };
 
@@ -86,11 +83,6 @@ struct SpFamilyCase {
       q.constraints.push_back(h);
     }
     return q;
-  }
-  static std::string SaveBytes(const Family& index) {
-    std::ostringstream out;
-    index.Save(&out);
-    return out.str();
   }
 };
 
@@ -110,11 +102,6 @@ struct RrFamilyCase {
     q.hi[0] = std::max(a, b);
     return q;
   }
-  static std::string SaveBytes(const Family& index) {
-    std::ostringstream out;
-    index.SaveFlat(&out);
-    return out.str();
-  }
 };
 
 template <typename Case>
@@ -126,7 +113,7 @@ TYPED_TEST_SUITE(DynamicIndexTest, FamilyCases);
 
 // Batched inserts and tombstone deletes, checked at every round against a
 // freshly built static index over the live object set: identical answers,
-// clean multi-level audits, and (after quiescence) byte-identical Save.
+// clean multi-level audits, and (after quiescence) byte-identical SaveFlat.
 TYPED_TEST(DynamicIndexTest, BatchedUpdatesMatchFreshStaticBuild) {
   using Case = TypeParam;
   using Family = typename Case::Family;
@@ -194,7 +181,7 @@ TYPED_TEST(DynamicIndexTest, BatchedUpdatesMatchFreshStaticBuild) {
     }
   }
 
-  // Save after quiescence == from-scratch build over the live set.
+  // SaveFlat after quiescence == from-scratch build over the live set.
   dynamic.WaitQuiescent();
   const auto compact = dynamic.Compact();
   std::vector<Geom> live_geoms;
@@ -209,7 +196,7 @@ TYPED_TEST(DynamicIndexTest, BatchedUpdatesMatchFreshStaticBuild) {
   EXPECT_EQ(compact.ids, live_ids);
   const Corpus corpus(live_docs);
   const Family scratch(live_geoms, &corpus, opt);
-  EXPECT_EQ(Case::SaveBytes(*compact.index), Case::SaveBytes(scratch));
+  EXPECT_EQ(SaveFlatToBytes(*compact.index), SaveFlatToBytes(scratch));
 }
 
 // The "KWDY" checkpoint round-trips: a loaded checkpoint answers like the
@@ -248,13 +235,48 @@ TYPED_TEST(DynamicIndexTest, CheckpointRoundTripsByteIdentically) {
   EXPECT_EQ(out.str(), again.str());
 }
 
+// A checkpoint whose buffer names an object the registry does not hold is
+// refused at load, before publishing a snapshot indexes the registry by it.
+TEST(DynamicIndexCheckpointDeath, OutOfRangeBufferIdRejected) {
+  FrameworkOptions opt;
+  opt.k = 2;
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/8);
+  for (int i = 0; i < 3; ++i) {
+    dynamic.Insert({{0.1 * i, 0.2 * i}}, Document{5, 6});
+  }
+  std::ostringstream out;
+  dynamic.SaveCheckpoint(&out);
+  std::string bytes = out.str();
+  // All three objects are buffered: the stream holds the id vector {0, 1, 2}
+  // as a uint64 count followed by three uint32 ids. Point its last id far
+  // past the registry.
+  std::string buffer(sizeof(uint64_t) + 3 * sizeof(ObjectId), '\0');
+  const uint64_t count = 3;
+  std::memcpy(buffer.data(), &count, sizeof(count));
+  for (ObjectId id = 0; id < 3; ++id) {
+    std::memcpy(buffer.data() + sizeof(count) + id * sizeof(id), &id,
+                sizeof(id));
+  }
+  const size_t at = bytes.rfind(buffer);
+  ASSERT_NE(at, std::string::npos);
+  const ObjectId bogus = ObjectId{1} << 30;
+  std::memcpy(bytes.data() + at + buffer.size() - sizeof(bogus), &bogus,
+              sizeof(bogus));
+  EXPECT_DEATH(
+      {
+        std::istringstream in(bytes);
+        auto loaded = DynamicIndex<OrpKwIndex<2>>::LoadCheckpoint(&in);
+      },
+      "checkpoint buffer id 1073741824 out of range");
+}
+
 // Delete semantics: tombstoning is idempotent, ids are never reused, and
 // deleted objects vanish from answers immediately — before any carry
 // physically drops them.
 TEST(DynamicIndexDeletes, TombstonesFilterImmediately) {
   FrameworkOptions opt;
   opt.k = 2;
-  DynamicOrpKwIndex<2> dynamic(opt, /*buffer_capacity=*/4);
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/4);
   const ObjectId a = dynamic.Insert({{0.2, 0.2}}, Document{1, 2});
   const ObjectId b = dynamic.Insert({{0.8, 0.8}}, Document{1, 2});
   const std::vector<KeywordId> kws = {1, 2};
@@ -278,7 +300,7 @@ TEST(DynamicIndexDeletes, TombstonesFilterImmediately) {
 TEST(DynamicIndexMemory, RegistryOnceAccountingSurvivesDeleteReinsertCycles) {
   FrameworkOptions opt;
   opt.k = 2;
-  DynamicOrpKwIndex<2> dynamic(opt, /*buffer_capacity=*/8);
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/8);
   Rng rng(641);
   for (int i = 0; i < 8; ++i) {  // Fill to exactly one carry: empty buffer.
     dynamic.Insert({{rng.NextDouble(), rng.NextDouble()}},
@@ -315,7 +337,7 @@ TEST(DynamicIndexMemory, RegistryOnceAccountingSurvivesDeleteReinsertCycles) {
 TEST(DynamicIndexDeletes, CarryDropsTombstonedMembers) {
   FrameworkOptions opt;
   opt.k = 2;
-  DynamicOrpKwIndex<2> dynamic(opt, /*buffer_capacity=*/4);
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/4);
   Rng rng(733);
   std::vector<bool> live;
   for (int i = 0; i < 40; ++i) {
@@ -352,7 +374,7 @@ TEST(DynamicIndexConcurrent, BackgroundMergesKeepAnswersExact) {
   ThreadPool pool(3);
   FrameworkOptions opt;
   opt.k = 2;
-  DynamicOrpKwIndex<2> dynamic(opt, /*buffer_capacity=*/32, &pool);
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/32, &pool);
   Rng rng(1313);
   std::vector<Point<2>> points;
   std::vector<Document> docs;
@@ -400,8 +422,7 @@ TEST(DynamicIndexConcurrent, BackgroundMergesKeepAnswersExact) {
   }
   const Corpus corpus(live_docs);
   const OrpKwIndex<2> scratch(live_points, &corpus, opt);
-  EXPECT_EQ(OrpFamilyCase::SaveBytes(*compact.index),
-            OrpFamilyCase::SaveBytes(scratch));
+  EXPECT_EQ(SaveFlatToBytes(*compact.index), SaveFlatToBytes(scratch));
 }
 
 }  // namespace

@@ -17,7 +17,8 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "core/dynamic_orp_kw.h"
+#include "core/dynamic_index.h"
+#include "core/orp_kw.h"
 #include "test_util.h"
 
 namespace kwsc {
@@ -27,7 +28,7 @@ TEST(DynamicStress, ConcurrentBatchedUpdatesQueriesAndMerges) {
   ThreadPool merge_pool(2);
   FrameworkOptions opt;
   opt.k = 2;
-  DynamicOrpKwIndex<2> dynamic(opt, /*buffer_capacity=*/16, &merge_pool);
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/16, &merge_pool);
 
   constexpr int kRounds = 60;
   constexpr int kReaders = 3;

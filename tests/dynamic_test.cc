@@ -8,7 +8,8 @@
 #include <numeric>
 
 #include "common/random.h"
-#include "core/dynamic_orp_kw.h"
+#include "core/dynamic_index.h"
+#include "core/orp_kw.h"
 #include "test_util.h"
 #include "workload/generator.h"
 
@@ -21,7 +22,7 @@ TEST(DynamicOrpKw, InterleavedInsertAndQueryMatchesBruteForce) {
   Rng rng(611);
   FrameworkOptions opt;
   opt.k = 2;
-  DynamicOrpKwIndex<2> dynamic(opt, /*buffer_capacity=*/32);
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/32);
 
   std::vector<Point<2>> inserted_points;
   std::vector<Document> inserted_docs;
@@ -70,7 +71,7 @@ TEST(DynamicOrpKw, BinaryCounterLevelShape) {
   FrameworkOptions opt;
   opt.k = 2;
   const size_t buffer = 16;
-  DynamicOrpKwIndex<2> dynamic(opt, buffer);
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, buffer);
   Rng rng(612);
   for (size_t i = 0; i < 16 * buffer; ++i) {
     dynamic.Insert({{rng.NextDouble(), rng.NextDouble()}},
@@ -85,7 +86,7 @@ TEST(DynamicOrpKw, BinaryCounterLevelShape) {
 TEST(DynamicOrpKw, QueryBeforeAnyCarryUsesBufferOnly) {
   FrameworkOptions opt;
   opt.k = 2;
-  DynamicOrpKwIndex<2> dynamic(opt, /*buffer_capacity=*/100);
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/100);
   dynamic.Insert({{0.5, 0.5}}, Document{1, 2});
   dynamic.Insert({{0.9, 0.9}}, Document{1, 3});
   EXPECT_EQ(dynamic.ActiveLevels(), 0u);
@@ -101,7 +102,7 @@ TEST(DynamicOrpKw, MemoryBytesCountsBufferedObjectsOnce) {
   // footprint by about the document's bytes, not twice that.
   FrameworkOptions opt;
   opt.k = 2;
-  DynamicOrpKwIndex<2> dynamic(opt, /*buffer_capacity=*/8);
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/8);
   Rng rng(641);
   for (int i = 0; i < 8; ++i) {  // Fill to exactly one carry: empty buffer.
     dynamic.Insert({{rng.NextDouble(), rng.NextDouble()}},
@@ -124,7 +125,7 @@ TEST(DynamicOrpKw, ExhaustedBudgetStopsLevelFanOut) {
   // budget-free walk on every remaining level.
   FrameworkOptions opt;
   opt.k = 2;
-  DynamicOrpKwIndex<2> dynamic(opt, /*buffer_capacity=*/4);
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/4);
   Rng rng(643);
   for (int i = 0; i < 20; ++i) {  // 5 carries = binary 101: two levels.
     dynamic.Insert({{rng.NextDouble(), rng.NextDouble()}},
@@ -150,7 +151,7 @@ TEST(DynamicOrpKw, ExhaustedBudgetStopsLevelFanOut) {
 TEST(DynamicOrpKwDeath, EmptyDocumentRejected) {
   FrameworkOptions opt;
   opt.k = 2;
-  DynamicOrpKwIndex<2> dynamic(opt);
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt);
   EXPECT_DEATH(dynamic.Insert({{0, 0}}, Document{}), "non-empty");
 }
 

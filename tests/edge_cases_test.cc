@@ -9,8 +9,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/flat_arena.h"
 #include "common/random.h"
-#include "common/serialize.h"
 #include "core/balanced_cut.h"
 #include "core/dim_reduction.h"
 #include "core/nn_linf.h"
@@ -65,16 +65,18 @@ TEST(EdgeRankSpace, SaveLoadRoundTrip) {
   Rng rng(4441);
   auto pts = GeneratePoints<2>(100, PointDistribution::kUniform, &rng);
   RankSpace<2> original{std::span<const Point<2>>(pts)};
-  std::stringstream stream;
-  {
-    OutputArchive ar(&stream);
-    original.Save(&ar);
-  }
+  const uint32_t tag = FlatFamilyTag('R', 'A', 'N', 'K');
+  FlatArenaWriter writer(tag);
+  writer.Root(original.SaveFlatSlabs(&writer));
+  std::ostringstream out;
+  writer.WriteTo(&out);
+  const auto file = MmapFile::FromBytes(out.str());
+  const FlatArenaReader reader(*file, 0, tag);
   RankSpace<2> loaded;
-  {
-    InputArchive ar(&stream);
-    loaded.Load(&ar);
-  }
+  ASSERT_TRUE(loaded.AttachFlat(reader,
+                                reader.Root<RankSpace<2>::FlatImage>(),
+                                pts.size(), AbortingFlatErrorSink()));
+  EXPECT_EQ(loaded.num_points(), pts.size());
   for (uint32_t e = 0; e < pts.size(); ++e) {
     EXPECT_EQ(loaded.ToRank(e).coords, original.ToRank(e).coords);
   }

@@ -1,11 +1,11 @@
 // Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
 //
 // Tests for the v2 mmap-native flat layout (DESIGN.md, "On-disk layout v2"):
-// every persistable family round-trips through SaveFlat -> LoadFlat with
-// byte-for-byte query equivalence and an audit-clean loaded index, every
-// slab lands 64-byte aligned, and malformed containers (truncated,
-// misaligned, wrong family, wrong dimensionality, wrong corpus) die with the
-// specific abort the loader documents. The intersection kernels (scalar
+// every persistable family round-trips through SaveFlat -> LoadFlat ->
+// SaveFlat to the same bytes, with query equivalence and an audit-clean
+// loaded index, every slab lands 64-byte aligned, and malformed containers
+// (truncated, misaligned, wrong family, wrong dimensionality, wrong corpus)
+// die with the specific abort the loader documents. The intersection kernels (scalar
 // galloping vs AVX2 blocked) are cross-checked here too, since the flat
 // query path runs whichever one kAuto resolves to.
 
@@ -36,19 +36,11 @@ namespace kwsc {
 namespace {
 
 using testing::ExpectAuditClean;
+using testing::SaveFlatToBytes;
 
 template <typename Index>
 std::shared_ptr<const MmapFile> SaveFlatToFile(const Index& index) {
-  std::ostringstream out;
-  index.SaveFlat(&out);
-  return MmapFile::FromBytes(out.str());
-}
-
-template <typename Index>
-std::string SaveFlatToBytes(const Index& index) {
-  std::ostringstream out;
-  index.SaveFlat(&out);
-  return out.str();
+  return MmapFile::FromBytes(SaveFlatToBytes(index));
 }
 
 struct Workload {
@@ -142,6 +134,7 @@ TEST(FlatLayout, OrpKwRoundTrip) {
   EXPECT_EQ(bytes.size() % kFlatAlignment, 0u);
   const auto loaded =
       OrpKwIndex<2>::LoadFlat(MmapFile::FromBytes(bytes), &w.corpus);
+  EXPECT_EQ(SaveFlatToBytes(loaded), bytes);
   const audit::AuditReport report = audit::AuditIndex(loaded);
   EXPECT_TRUE(report.ok()) << report.ToString();
   for (int trial = 0; trial < 20; ++trial) {
@@ -153,25 +146,12 @@ TEST(FlatLayout, OrpKwRoundTrip) {
   }
 }
 
-TEST(FlatLayout, OrpKwFlatLoadedResavesV1Identically) {
-  // A flat-loaded index must be a full citizen: its v1 Save must equal the
-  // pointer-built index's v1 Save byte for byte (the auditor's
-  // serialization check depends on this).
-  Workload w = MakeWorkload(300, 7);
-  const OrpKwIndex<2> built(w.pts, &w.corpus, w.opt);
-  const auto loaded =
-      OrpKwIndex<2>::LoadFlat(SaveFlatToFile(built), &w.corpus);
-  std::ostringstream from_built, from_flat;
-  built.Save(&from_built);
-  loaded.Save(&from_flat);
-  EXPECT_EQ(from_built.str(), from_flat.str());
-}
-
 TEST(FlatLayout, SpKwBoxRoundTrip) {
   Workload w = MakeWorkload(500, 11);
   const SpKwBoxIndex<2> built(w.pts, &w.corpus, w.opt);
   const auto loaded =
       SpKwBoxIndex<2>::LoadFlat(SaveFlatToFile(built), &w.corpus);
+  EXPECT_EQ(SaveFlatToBytes(loaded), SaveFlatToBytes(built));
   const audit::AuditReport report = audit::AuditIndex(loaded);
   EXPECT_TRUE(report.ok()) << report.ToString();
   for (int trial = 0; trial < 15; ++trial) {
@@ -189,6 +169,7 @@ TEST(FlatLayout, SrpKwRoundTrip) {
   Workload w = MakeWorkload(400, 13);
   const SrpKwIndex<2> built(w.pts, &w.corpus, w.opt);
   const auto loaded = SrpKwIndex<2>::LoadFlat(SaveFlatToFile(built), &w.corpus);
+  EXPECT_EQ(SaveFlatToBytes(loaded), SaveFlatToBytes(built));
   for (int trial = 0; trial < 15; ++trial) {
     const Point<2> c{{w.rng.NextDouble(), w.rng.NextDouble()}};
     const double r_sq = w.rng.UniformDouble(0.01, 0.2);
@@ -209,6 +190,7 @@ TEST(FlatLayout, RrKwRoundTrip) {
   opt.k = 2;
   const RrKwIndex<1> built(rects, &corpus, opt);
   const auto loaded = RrKwIndex<1>::LoadFlat(SaveFlatToFile(built), &corpus);
+  EXPECT_EQ(SaveFlatToBytes(loaded), SaveFlatToBytes(built));
   const audit::AuditReport report = audit::AuditIndex(loaded);
   EXPECT_TRUE(report.ok()) << report.ToString();
   auto queries = GenerateRects<1>(15, PointDistribution::kUniform, 0.2, &rng);
@@ -224,6 +206,7 @@ TEST(FlatLayout, LinfNnRoundTrip) {
   const LinfNnIndex<2> built(w.pts, &w.corpus, w.opt);
   const auto loaded =
       LinfNnIndex<2>::LoadFlat(SaveFlatToFile(built), &w.corpus);
+  EXPECT_EQ(SaveFlatToBytes(loaded), SaveFlatToBytes(built));
   for (int trial = 0; trial < 10; ++trial) {
     const Point<2> q{{w.rng.NextDouble(), w.rng.NextDouble()}};
     const auto kws =
@@ -245,6 +228,7 @@ TEST(FlatLayout, L2NnRoundTrip) {
   opt.k = 2;
   const L2NnIndex<2> built(pts, &corpus, opt);
   const auto loaded = L2NnIndex<2>::LoadFlat(SaveFlatToFile(built), &corpus);
+  EXPECT_EQ(SaveFlatToBytes(loaded), SaveFlatToBytes(built));
   for (int trial = 0; trial < 10; ++trial) {
     const IntPoint<2> q{{rng.UniformInt(0, 10000), rng.UniformInt(0, 10000)}};
     const auto kws =
@@ -263,6 +247,7 @@ TEST(FlatLayout, FrameworkKsiRoundTrip) {
   const FrameworkKsi built(&instance, opt);
   const auto loaded =
       FrameworkKsi::LoadFlat(SaveFlatToFile(built), &instance);
+  EXPECT_EQ(SaveFlatToBytes(loaded), SaveFlatToBytes(built));
   for (KeywordId a = 0; a < 3; ++a) {
     for (KeywordId b = 0; b < 3; ++b) {
       if (a == b) continue;  // Query keywords must be distinct.

@@ -1,8 +1,8 @@
 // Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
 //
 // Golden-format tests: the committed byte streams under tests/golden/ are
-// the ground truth for the v1 archive and v2 flat formats of two persisted
-// families (plus the corpus). Three properties per file:
+// the ground truth for the v2 flat format of two persisted families, the
+// corpus stream and the dynamic checkpoint. Three properties per file:
 //
 //   1. Regeneration — building the golden workload today and saving it
 //      produces the committed bytes exactly. Any divergence means the
@@ -74,25 +74,11 @@ TEST(GoldenFormat, CorpusV1LoadsAndMatches) {
   }
 }
 
-TEST(GoldenFormat, OrpKwV1LoadsAuditClean) {
-  const Corpus corpus = golden::MakeCorpus();
-  std::istringstream in(ReadGolden("orp_kw_v1.bin"));
-  const OrpKwIndex<2> loaded = OrpKwIndex<2>::Load(&in, &corpus);
-  testing::ExpectAuditClean(loaded);
-}
-
 TEST(GoldenFormat, OrpKwV2LoadsAuditClean) {
   const Corpus corpus = golden::MakeCorpus();
   const auto file = MmapFile::Open(GoldenPath("orp_kw_v2.bin"));
   ASSERT_NE(file, nullptr);
   const OrpKwIndex<2> loaded = OrpKwIndex<2>::LoadFlat(file, &corpus);
-  testing::ExpectAuditClean(loaded);
-}
-
-TEST(GoldenFormat, SpKwBoxV1LoadsAuditClean) {
-  const Corpus corpus = golden::MakeCorpus();
-  std::istringstream in(ReadGolden("sp_kw_box_v1.bin"));
-  const SpKwBoxIndex<2> loaded = SpKwBoxIndex<2>::Load(&in, &corpus);
   testing::ExpectAuditClean(loaded);
 }
 
@@ -134,8 +120,9 @@ TEST(GoldenFormat, GoldenLoadedQueriesMatchFreshBuild) {
   const Corpus corpus = golden::MakeCorpus();
   const auto pts = golden::MakePoints();
   const OrpKwIndex<2> built(pts, &corpus, golden::MakeOptions());
-  std::istringstream in(ReadGolden("orp_kw_v1.bin"));
-  const OrpKwIndex<2> loaded = OrpKwIndex<2>::Load(&in, &corpus);
+  const auto file = MmapFile::Open(GoldenPath("orp_kw_v2.bin"));
+  ASSERT_NE(file, nullptr);
+  const OrpKwIndex<2> loaded = OrpKwIndex<2>::LoadFlat(file, &corpus);
   const Box<2> range{Point<2>{{0, 0}}, Point<2>{{7, 6}}};
   // Exactly k=2 keywords per query: every unordered vocabulary pair.
   for (KeywordId w1 = 0; w1 < 6; ++w1) {

@@ -2,8 +2,9 @@
 //
 // The golden-format dataset: a tiny hand-written workload (no generators,
 // no Rng — the bytes must be a pure function of the format code) and the
-// exact Save/SaveFlat byte streams the committed files under tests/golden/
-// were produced from. Shared by tests/golden_format_test.cc (regenerate,
+// exact byte streams the committed files under tests/golden/ were produced
+// from: the corpus and dynamic-checkpoint streams and the flat index
+// containers. Shared by tests/golden_format_test.cc (regenerate,
 // byte-compare, load, audit) and tests/make_golden.cc (the one-shot writer
 // that created the committed files).
 //
@@ -77,7 +78,7 @@ inline std::unique_ptr<DynamicIndex<OrpKwIndex<2>>> MakeDynamic() {
   return dyn;
 }
 
-/// name -> byte stream, for all six golden files.
+/// name -> byte stream, for all four golden files.
 struct GoldenFile {
   std::string name;
   std::string bytes;
@@ -97,18 +98,8 @@ inline std::vector<GoldenFile> RenderAll() {
   }
   {
     std::ostringstream out;
-    orp.Save(&out);
-    files.push_back({"orp_kw_v1.bin", out.str()});
-  }
-  {
-    std::ostringstream out;
     orp.SaveFlat(&out);
     files.push_back({"orp_kw_v2.bin", out.str()});
-  }
-  {
-    std::ostringstream out;
-    sp.Save(&out);
-    files.push_back({"sp_kw_box_v1.bin", out.str()});
   }
   {
     std::ostringstream out;

@@ -5,16 +5,21 @@
 // paths and standard level are right, so a failure of the negative cases
 // means the concept rejected them, not that the harness is broken.
 
-#include "common/serialize.h"
+#include <iosfwd>
+#include <memory>
+
+#include "common/flat_arena.h"
 #include "core/contracts.h"
+#include "text/corpus.h"
 
 namespace {
 
 struct Conforming {
-  void Save(kwsc::OutputArchive* out) const;
-  void Load(kwsc::InputArchive* in);
+  void SaveFlat(std::ostream* out) const;
+  static Conforming LoadFlat(std::shared_ptr<const kwsc::MmapFile> file,
+                             const kwsc::Corpus* corpus);
 };
 
-static_assert(kwsc::ArchiveSerializable<Conforming>);
+static_assert(kwsc::FlatPersistable<Conforming>);
 
 }  // namespace

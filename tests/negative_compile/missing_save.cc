@@ -1,19 +1,23 @@
 // Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
 //
 // Negative-compilation case (tests/CMakeLists.txt, "Negative compilation"):
-// this TU MUST NOT compile. A component with a Load but no Save half cannot
-// claim ArchiveSerializable — the archive contract is the symmetric pair.
+// this TU MUST NOT compile. An index with a LoadFlat but no SaveFlat half
+// cannot claim FlatPersistable — the persistence contract is the pair.
 
-#include "common/serialize.h"
+#include <memory>
+
+#include "common/flat_arena.h"
 #include "core/contracts.h"
+#include "text/corpus.h"
 
 namespace {
 
 struct MissingSave {
-  // No Save(OutputArchive*) const.
-  void Load(kwsc::InputArchive* in);
+  // No SaveFlat(std::ostream*) const.
+  static MissingSave LoadFlat(std::shared_ptr<const kwsc::MmapFile> file,
+                              const kwsc::Corpus* corpus);
 };
 
-static_assert(kwsc::ArchiveSerializable<MissingSave>);
+static_assert(kwsc::FlatPersistable<MissingSave>);
 
 }  // namespace

@@ -1,20 +1,25 @@
 // Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
 //
 // Negative-compilation case (tests/CMakeLists.txt, "Negative compilation"):
-// this TU MUST NOT compile. A component whose Load returns a value instead
-// of rebuilding in place (returning void) has the top-level static-factory
-// shape, not the component archive shape; ArchiveSerializable rejects it.
+// this TU MUST NOT compile. An index whose LoadFlat fills an instance in
+// place (returning void) instead of returning the attached index has the
+// wrong shape; FlatPersistable rejects it.
 
-#include "common/serialize.h"
+#include <iosfwd>
+#include <memory>
+
+#include "common/flat_arena.h"
 #include "core/contracts.h"
+#include "text/corpus.h"
 
 namespace {
 
 struct WrongLoadReturn {
-  void Save(kwsc::OutputArchive* out) const;
-  WrongLoadReturn Load(kwsc::InputArchive* in);  // must be void
+  void SaveFlat(std::ostream* out) const;
+  void LoadFlat(std::shared_ptr<const kwsc::MmapFile> file,
+                const kwsc::Corpus* corpus);  // must return the index
 };
 
-static_assert(kwsc::ArchiveSerializable<WrongLoadReturn>);
+static_assert(kwsc::FlatPersistable<WrongLoadReturn>);
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 // Determinism contract of the parallel build: for every thread count, the
 // constructed index is the SAME index — not just query-equivalent but
-// byte-identical under Save. Forked subtrees build into private arenas that
+// byte-identical under SaveFlat. Forked subtrees build into private arenas that
 // are spliced back in DFS preorder, so node layout, child indices, and every
 // NodeDirectory match the sequential build exactly. These tests pin that
 // contract, plus the degenerate-weight fix in WeightedMedianIndex.
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 #include <string>
 
 #include "common/random.h"
@@ -25,14 +24,8 @@ namespace kwsc {
 namespace {
 
 using testing::BruteBox;
+using testing::SaveFlatToBytes;
 using testing::Sorted;
-
-template <typename Index>
-std::string SaveBytes(const Index& index) {
-  std::stringstream stream;
-  index.Save(&stream);
-  return stream.str();
-}
 
 TEST(ParallelBuild, OrpKwSaveBytesIdenticalAcrossThreadCounts) {
   Rng rng(7101);
@@ -46,13 +39,14 @@ TEST(ParallelBuild, OrpKwSaveBytesIdenticalAcrossThreadCounts) {
   opt.k = 2;
   opt.num_threads = 1;
   OrpKwIndex<2> sequential(pts, &corpus, opt);
-  const std::string expected = SaveBytes(sequential);
+  const std::string expected = SaveFlatToBytes(sequential);
 
   for (int threads : {2, 4, 8}) {
     opt.num_threads = threads;
     OrpKwIndex<2> parallel(pts, &corpus, opt);
     EXPECT_EQ(parallel.num_nodes(), sequential.num_nodes());
-    ASSERT_EQ(SaveBytes(parallel), expected) << "num_threads=" << threads;
+    ASSERT_EQ(SaveFlatToBytes(parallel), expected)
+        << "num_threads=" << threads;
   }
 }
 
@@ -70,7 +64,7 @@ TEST(ParallelBuild, OrpKwSaveBytesIdenticalForK3) {
   OrpKwIndex<2> sequential(pts, &corpus, opt);
   opt.num_threads = 4;
   OrpKwIndex<2> parallel(pts, &corpus, opt);
-  ASSERT_EQ(SaveBytes(parallel), SaveBytes(sequential));
+  ASSERT_EQ(SaveFlatToBytes(parallel), SaveFlatToBytes(sequential));
 }
 
 TEST(ParallelBuild, OrpKwParallelAnswersMatchOracle) {

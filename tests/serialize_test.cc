@@ -1,7 +1,8 @@
 // Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
 //
-// Round-trip tests for the binary persistence layer: archives, corpus, and
-// the full ORP-KW index (including its NodeDirectory contents).
+// Round-trip tests for the stream persistence layer: the archives and the
+// corpus (KWCP) stream built on them. Indexes persist only as v2 flat
+// containers; tests/flat_layout_test.cc covers those.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +14,6 @@
 #include "common/random.h"
 #include "common/serialize.h"
 #include "core/format_versions.h"
-#include "core/orp_kw.h"
-#include "test_util.h"
 #include "text/corpus.h"
 #include "workload/generator.h"
 
@@ -167,9 +166,8 @@ TEST(Archive, BufferedWriterMatchesUnbufferedByteForByte) {
 
 TEST(Archive, FlushOrdersBufferedBytesBeforeRawStreamWrites) {
   // The nested-save hazard: a live archive plus a direct stream write must
-  // produce bytes in program order once Flush() is called in between. This
-  // is the contract LinfNnIndex::Save (archive header, then engine save to
-  // the same stream) depends on.
+  // produce bytes in program order once Flush() is called in between (see
+  // OutputArchive's class comment).
   std::stringstream stream;
   {
     OutputArchive ar(&stream);
@@ -209,132 +207,6 @@ TEST(CorpusSerialize, RoundTripPreservesEverything) {
   EXPECT_EQ(loaded.vocab_size(), original.vocab_size());
   for (ObjectId e = 0; e < original.num_objects(); ++e) {
     EXPECT_EQ(loaded.doc(e), original.doc(e));
-  }
-}
-
-TEST(OrpKwSerialize, LoadedIndexAnswersIdentically) {
-  Rng rng(172);
-  CorpusSpec spec;
-  spec.num_objects = 800;
-  spec.vocab_size = 60;
-  Corpus corpus = GenerateCorpus(spec, &rng);
-  auto pts = GeneratePoints<2>(800, PointDistribution::kClustered, &rng);
-  FrameworkOptions opt;
-  opt.k = 2;
-  OrpKwIndex<2> original(pts, &corpus, opt);
-
-  std::stringstream stream;
-  original.Save(&stream);
-  OrpKwIndex<2> loaded = OrpKwIndex<2>::Load(&stream, &corpus);
-  testing::ExpectAuditClean(loaded);
-
-  EXPECT_EQ(loaded.num_nodes(), original.num_nodes());
-  EXPECT_EQ(loaded.MemoryBytes() > 0, true);
-  for (int trial = 0; trial < 25; ++trial) {
-    auto q = GenerateBoxQuery(std::span<const Point<2>>(pts),
-                              rng.UniformDouble(0.01, 0.7), &rng);
-    auto kws = PickQueryKeywords(
-        corpus, 2,
-        trial % 2 == 0 ? KeywordPick::kFrequent : KeywordPick::kCooccurring,
-        &rng);
-    // Identical results in identical order: the loaded tree is the same
-    // tree.
-    EXPECT_EQ(loaded.Query(q, kws), original.Query(q, kws));
-  }
-}
-
-TEST(OrpKwSerialize, RoundTripThroughRealFileViaString) {
-  // The archive is a plain byte stream: string round-trip == file
-  // round-trip.
-  Rng rng(173);
-  CorpusSpec spec;
-  spec.num_objects = 100;
-  spec.vocab_size = 20;
-  Corpus corpus = GenerateCorpus(spec, &rng);
-  auto pts = GeneratePoints<2>(100, PointDistribution::kUniform, &rng);
-  FrameworkOptions opt;
-  opt.k = 2;
-  OrpKwIndex<2> original(pts, &corpus, opt);
-  std::stringstream first;
-  original.Save(&first);
-  const std::string bytes = first.str();
-  std::stringstream second(bytes);
-  OrpKwIndex<2> loaded = OrpKwIndex<2>::Load(&second, &corpus);
-  // Saving the loaded index reproduces the identical byte stream
-  // (canonical archives).
-  std::stringstream third;
-  loaded.Save(&third);
-  EXPECT_EQ(third.str(), bytes);
-}
-
-TEST(OrpKwSerializeDeath, CorpusMismatchRejected) {
-  Rng rng(174);
-  CorpusSpec spec;
-  spec.num_objects = 50;
-  spec.vocab_size = 10;
-  Corpus corpus = GenerateCorpus(spec, &rng);
-  auto pts = GeneratePoints<2>(50, PointDistribution::kUniform, &rng);
-  FrameworkOptions opt;
-  opt.k = 2;
-  OrpKwIndex<2> index(pts, &corpus, opt);
-  std::stringstream stream;
-  index.Save(&stream);
-  spec.num_objects = 51;
-  Corpus other = GenerateCorpus(spec, &rng);
-  EXPECT_DEATH(OrpKwIndex<2>::Load(&stream, &other), "mismatch");
-}
-
-}  // namespace
-}  // namespace kwsc
-
-// Appended round-trip coverage for the partition-substrate and NN indexes.
-#include "core/nn_linf.h"
-#include "core/sp_kw_box.h"
-
-namespace kwsc {
-namespace {
-
-TEST(SpKwBoxSerialize, LoadedIndexAnswersIdentically) {
-  Rng rng(175);
-  CorpusSpec spec;
-  spec.num_objects = 500;
-  spec.vocab_size = 40;
-  Corpus corpus = GenerateCorpus(spec, &rng);
-  auto pts = GeneratePoints<2>(500, PointDistribution::kUniform, &rng);
-  FrameworkOptions opt;
-  opt.k = 2;
-  SpKwBoxIndex<2> original(pts, &corpus, opt);
-  std::stringstream stream;
-  original.Save(&stream);
-  SpKwBoxIndex<2> loaded = SpKwBoxIndex<2>::Load(&stream, &corpus);
-  testing::ExpectAuditClean(loaded);
-  for (int trial = 0; trial < 15; ++trial) {
-    ConvexQuery<2> q;
-    q.constraints.push_back(GenerateHalfspaceQuery(
-        std::span<const Point<2>>(pts), rng.UniformDouble(0.2, 0.8), &rng));
-    auto kws = PickQueryKeywords(corpus, 2, KeywordPick::kCooccurring, &rng);
-    EXPECT_EQ(loaded.Query(q, kws), original.Query(q, kws));
-  }
-}
-
-TEST(LinfNnSerialize, LoadedIndexAnswersIdentically) {
-  Rng rng(176);
-  CorpusSpec spec;
-  spec.num_objects = 400;
-  spec.vocab_size = 30;
-  Corpus corpus = GenerateCorpus(spec, &rng);
-  auto pts = GeneratePoints<2>(400, PointDistribution::kClustered, &rng);
-  FrameworkOptions opt;
-  opt.k = 2;
-  LinfNnIndex<2> original(pts, &corpus, opt);
-  std::stringstream stream;
-  original.Save(&stream);
-  LinfNnIndex<2> loaded = LinfNnIndex<2>::Load(&stream, &corpus);
-  for (int trial = 0; trial < 10; ++trial) {
-    Point<2> q{{rng.NextDouble(), rng.NextDouble()}};
-    auto kws = PickQueryKeywords(corpus, 2, KeywordPick::kFrequent, &rng);
-    const uint64_t t = 1 + rng.NextBounded(6);
-    EXPECT_EQ(loaded.Query(q, t, kws), original.Query(q, t, kws));
   }
 }
 

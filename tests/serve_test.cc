@@ -17,7 +17,7 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "core/dynamic_orp_kw.h"
+#include "core/dynamic_index.h"
 #include "core/orp_kw.h"
 #include "core/query_engine.h"
 #include "obs/metrics.h"
@@ -376,7 +376,7 @@ TEST(DynamicCoordinator, MixedTrafficMatchesUnshardedDynamicIndex) {
   for (uint32_t shards : {1u, 3u, 4u}) {
     ServeOptions serve;
     DynCoordinator coordinator(shards, opt, serve, /*buffer_capacity=*/8);
-    DynamicOrpKwIndex<2> reference(opt, /*buffer_capacity=*/8);
+    DynamicIndex<OrpKwIndex<2>> reference(opt, /*buffer_capacity=*/8);
     std::vector<ObjectId> live;
     for (int round = 0; round < 12; ++round) {
       // A mixed stream: a burst of inserts with some interleaved deletes.
@@ -448,7 +448,8 @@ TEST(DynamicCoordinator, BackgroundMergesAndTopTStayExact) {
   obs::MetricsRegistry registry;
   DynamicCoordinator<OrpKwIndex<2>> coordinator(
       3, opt, serve, /*buffer_capacity=*/16, &merge_pool, &registry);
-  DynamicOrpKwIndex<2> reference(opt, /*buffer_capacity=*/16);
+  DynamicIndex<OrpKwIndex<2>> reference(opt, /*buffer_capacity=*/16);
+  uint64_t expected_candidates = 0;
   for (int step = 0; step < 400; ++step) {
     const Point<2> p{{rng.NextDouble(), rng.NextDouble()}};
     const Document doc{static_cast<KeywordId>(rng.NextBounded(4)),
@@ -472,6 +473,7 @@ TEST(DynamicCoordinator, BackgroundMergesAndTopTStayExact) {
     const auto result = coordinator.Run(batch);
     std::vector<ObjectId> expected =
         testing::Sorted(reference.Query(everywhere, batch[0].keywords));
+    expected_candidates += expected.size();
     if (expected.size() > serve.top_t) expected.resize(serve.top_t);
     ASSERT_EQ(result.rows[0], expected) << "step " << step;
   }
@@ -481,6 +483,14 @@ TEST(DynamicCoordinator, BackgroundMergesAndTopTStayExact) {
   }
   EXPECT_GT(registry.CounterValue("serve.updates"), 0u);
   EXPECT_GT(registry.CounterValue("serve.queries"), 0u);
+  // The shared scatter-gather counts every shard's candidates, as on the
+  // static path: together they are the untruncated answers.
+  uint64_t candidates = 0;
+  for (uint32_t s = 0; s < 3; ++s) {
+    candidates += registry.CounterValue("serve.shard" + std::to_string(s) +
+                                        ".candidates");
+  }
+  EXPECT_EQ(candidates, expected_candidates);
 }
 
 TEST(Merge, SelectTopTIsExactOnHandBuiltRows) {

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "audit/audit.h"
@@ -47,6 +49,16 @@ void ExpectAuditClean(const IntervalTree<Scalar>& tree) {
   if (!audit::AuditEnabled()) return;
   const audit::AuditReport report = audit::AuditIntervalTree(tree);
   EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+/// The index's v2 flat container as bytes: the one on-disk form, and the
+/// bytes every determinism check (parallel build, Compact(), round trips)
+/// compares.
+template <typename Index>
+std::string SaveFlatToBytes(const Index& index) {
+  std::ostringstream out;
+  index.SaveFlat(&out);
+  return out.str();
 }
 
 /// Objects in `q` whose documents contain all keywords, ascending by id.

@@ -87,11 +87,10 @@ for i, h in enumerate(doc["histograms"]):
         if not b["lo"] <= b["hi"]:
             fail(f"{where}.buckets[{j}]: lo > hi")
 
-# bench_load reports (name == "load") carry the mmap-vs-stream comparison;
-# enforce the fields the space<->latency curve and the CI speedup gate read.
+# bench_load reports (name == "load") carry the flat load path; enforce the
+# fields the space<->latency curve reads (built vs flat-loaded query time).
 if doc["name"] == "load":
-    required = ("N", "stream_load_ms", "mmap_load_ms", "speedup",
-                "stream_rss_bytes", "mmap_rss_bytes", "flat_file_bytes",
+    required = ("N", "mmap_load_ms", "mmap_rss_bytes", "flat_file_bytes",
                 "built_query_us", "flat_query_us")
     if not doc["points"]:
         fail("load report has no sweep points")
@@ -101,12 +100,9 @@ if doc["name"] == "load":
                 fail(f"points[{i}] missing {field}")
         if point["N"] is None or point["N"] <= 0:
             fail(f"points[{i}].N must be positive")
-        if point["speedup"] is None or point["speedup"] <= 0:
-            fail(f"points[{i}].speedup must be positive")
         if point["flat_file_bytes"] is None or point["flat_file_bytes"] <= 0:
             fail(f"points[{i}].flat_file_bytes must be positive")
-    for gauge in ("flat.bytes_mapped", "flat.load_micros", "flat.used_mmap",
-                  "load_speedup"):
+    for gauge in ("flat.bytes_mapped", "flat.load_micros", "flat.used_mmap"):
         if gauge not in doc["gauges"]:
             fail(f"load report missing gauge {gauge}")
 

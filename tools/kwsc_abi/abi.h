@@ -54,7 +54,7 @@ struct FormatSpec {
   std::string key;       // manifest name, e.g. "orp-kw"
   std::string constant;  // e.g. "kOrpKwFormatVersion"
   uint32_t version = 0;
-  std::vector<std::string> tags;   // 4-char magic/family tags, e.g. "KWO1"
+  std::vector<std::string> tags;   // 4-char magic/family tags, e.g. "KWO2"
   std::vector<std::string> files;  // path substrings assigning files
   int line = 0;
 };
