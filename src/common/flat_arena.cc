@@ -43,6 +43,11 @@ struct MmapFileBuilder : MmapFile {};
 /// used_mmap_ = false, so the flag doubles as the deallocation discriminant.
 }  // namespace
 
+AlignedBytes::AlignedBytes(size_t size)
+    : bytes_(AlignedAlloc(size)), size_(size) {}
+
+void AlignedBytes::Free::operator()(std::byte* p) const { AlignedFree(p); }
+
 FlatErrorSink AbortingFlatErrorSink() {
   return [](const std::string& message) {
     KWSC_CHECK_MSG(false, "flat layout invalid: %s", message.c_str());
@@ -90,22 +95,19 @@ std::shared_ptr<const MmapFile> MmapFile::Open(const std::string& path) {
   }
   // Graceful fallback: read the file into an aligned heap buffer. Same
   // bytes and alignment guarantees, just not zero-copy.
-  std::byte* buf = AlignedAlloc(size);
+  AlignedBytes buf(size);
   size_t off = 0;
   while (off < size) {
-    const ssize_t n = ::read(fd, buf + off, size - off);
+    const ssize_t n = ::read(fd, buf.data() + off, size - off);
     if (n <= 0) {
       std::fprintf(stderr, "MmapFile: short read on %s\n", path.c_str());
-      AlignedFree(buf);
       ::close(fd);
       return nullptr;
     }
     off += static_cast<size_t>(n);
   }
   ::close(fd);
-  file->data_ = buf;
-  file->used_mmap_ = false;
-  return file;
+  return Adopt(std::move(buf));
 #else
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -123,14 +125,16 @@ std::shared_ptr<const MmapFile> MmapFile::Open(const std::string& path) {
 }
 
 std::shared_ptr<const MmapFile> MmapFile::FromBytes(std::string bytes) {
+  AlignedBytes buf(bytes.size());
+  if (!bytes.empty()) std::memcpy(buf.data(), bytes.data(), bytes.size());
+  return Adopt(std::move(buf));
+}
+
+std::shared_ptr<const MmapFile> MmapFile::Adopt(AlignedBytes bytes) {
   auto file = std::make_shared<MmapFileBuilder>();
-  file->size_ = bytes.size();
+  file->size_ = bytes.size_;
   file->used_mmap_ = false;
-  if (!bytes.empty()) {
-    std::byte* buf = AlignedAlloc(bytes.size());
-    std::memcpy(buf, bytes.data(), bytes.size());
-    file->data_ = buf;
-  }
+  file->data_ = bytes.bytes_.release();
   return file;
 }
 

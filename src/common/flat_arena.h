@@ -95,6 +95,26 @@ using FlatErrorSink = std::function<void(const std::string&)>;
 /// An aborting sink for load paths: any validation failure is fatal.
 FlatErrorSink AbortingFlatErrorSink();
 
+/// A writable 64-byte-aligned heap buffer, filled in place and then frozen
+/// into an MmapFile (MmapFile::Adopt) without a copy. A container embedded
+/// in a stream is read straight into one: InputArchive::Vec<std::byte,
+/// AlignedBytes>().
+class AlignedBytes {
+ public:
+  explicit AlignedBytes(size_t size);
+
+  std::byte* data() { return bytes_.get(); }
+  size_t size() const { return size_; }
+
+ private:
+  friend class MmapFile;
+  struct Free {
+    void operator()(std::byte* p) const;
+  };
+  std::unique_ptr<std::byte, Free> bytes_;
+  size_t size_ = 0;
+};
+
 /// A read-only byte buffer backed by mmap when available, or by a 64-byte-
 /// aligned heap read otherwise. Immutable after creation; loaded indexes
 /// share ownership so mapped spans outlive any one handle.
@@ -108,6 +128,9 @@ class MmapFile {
   /// 64-byte-aligned heap buffer so alignment checks behave exactly as on
   /// disk.
   static std::shared_ptr<const MmapFile> FromBytes(std::string bytes);
+
+  /// Takes over an already filled aligned buffer; no copy.
+  static std::shared_ptr<const MmapFile> Adopt(AlignedBytes bytes);
 
   ~MmapFile();
   MmapFile(const MmapFile&) = delete;

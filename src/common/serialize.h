@@ -140,8 +140,12 @@ class InputArchive {
     return value;
   }
 
-  template <typename T>
-  std::vector<T> Vec() {
+  /// Reads a length-prefixed vector of T into `Out`, a std::vector<T> by
+  /// default. Any `Out` constructible from an element count with a
+  /// writable data() works, so a payload with a home of its own (a flat
+  /// container's aligned buffer, AlignedBytes) is read once, in place.
+  template <typename T, typename Out = std::vector<T>>
+  Out Vec() {
     static_assert(std::is_trivially_copyable_v<T>);
     const uint64_t size = Pod<uint64_t>();
     // Guard against absurd sizes from corrupt input before allocating.
@@ -155,7 +159,7 @@ class InputArchive {
     const bool fits = size <= BufferedBytes() / sizeof(T) ||
                       size <= RemainingBytes() / sizeof(T);
     KWSC_CHECK_MSG(fits, "vector length exceeds remaining archive bytes");
-    std::vector<T> v(size);
+    Out v(size);
     if (size > 0) {
       in_->read(reinterpret_cast<char*>(v.data()),
                 static_cast<std::streamsize>(size * sizeof(T)));

@@ -37,11 +37,15 @@
 // scan and every level; the first component to exhaust it ends the query —
 // no further level is visited.
 //
-// Persistence: SaveCheckpoint writes the "KWDY" v1 stream — registry,
-// tombstones, buffer, and the level manifest (slot -> id list); levels are
-// deterministically rebuilt on load, so the checkpoint costs O(n) bytes
-// regardless of level count. Compact() rebuilds one static index over the
-// live objects in insertion order; after quiescence its SaveFlat bytes are
+// Persistence: SaveCheckpoint writes the "KWDY" v2 stream — registry,
+// tombstones, buffer, and per level its id list followed by its index's
+// flat container (SaveFlat bytes). LoadCheckpoint gathers each level's
+// corpus from the registry and attaches the stored container with
+// LoadFlat, so an open costs a registry read plus one flat load per level,
+// never a construction; the price is the containers' bytes in the file and,
+// since they are read onto the heap, in MemoryBytes(). Only FlatPersistable
+// families checkpoint. Compact() rebuilds one static index over the live
+// objects in insertion order; after quiescence its SaveFlat bytes are
 // identical to a from-scratch build over the same object set
 // (tests/dynamic_index_test.cc holds this as a hard invariant).
 
@@ -53,11 +57,14 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/abi.h"
 #include "common/epoch.h"
+#include "common/flat_arena.h"
 #include "common/macros.h"
 #include "common/memory.h"
 #include "common/mutex.h"
@@ -100,6 +107,9 @@ class DynamicIndex {
     std::vector<GeomType> geoms;
     std::vector<ObjectId> id_map;  // Local id -> global id.
     std::unique_ptr<Family> index;
+    // The checkpointed container a loaded level's index views (heap bytes,
+    // charged by MemoryBytes); null for a level built by a carry.
+    std::shared_ptr<const MmapFile> file;
   };
 
   /// `merge_pool`, when non-null, runs level merges in the background:
@@ -279,8 +289,9 @@ class DynamicIndex {
   /// Registry-once accounting: every inserted object's document and
   /// geometry is charged exactly once (tombstoned ids included — the
   /// registry retains them), plus the per-level copies the static indexes
-  /// own. Published snapshots share the level and document storage counted
-  /// here; their private state is O(B) buffer entries of pointers.
+  /// own, and a loaded level's container bytes. Published snapshots share
+  /// the level and document storage counted here; their private state is
+  /// O(B) buffer entries of pointers.
   size_t MemoryBytes() const {
     MutexLock lock(&mu_);
     size_t total = VectorBytes(buffer_ids_) + VectorBytes(all_geoms_) +
@@ -290,17 +301,19 @@ class DynamicIndex {
       if (level == nullptr) continue;
       total += level->corpus->MemoryBytes() + level->index->MemoryBytes() +
                VectorBytes(level->id_map) + VectorBytes(level->geoms);
+      if (level->file != nullptr) total += level->file->size();
     }
     return total;
   }
 
-  // ---- Persistence ("KWDY" v1; core/format_versions.h) ----
+  // ---- Persistence ("KWDY" v2; core/format_versions.h) ----
 
-  /// Writes registry + tombstones + buffer + the level manifest. Levels are
-  /// rebuilt deterministically on load, so the stream is O(n) bytes. Safe
-  /// to call mid-merge: the writer state is always a complete view (a
+  /// Writes registry + tombstones + buffer, then per slot a presence byte
+  /// and, for a present level, its id list and its index's flat container.
+  /// Safe to call mid-merge: the writer state is always a complete view (a
   /// carry's sources stay in place until its level is installed).
-  void SaveCheckpoint(std::ostream* out) const {
+  void SaveCheckpoint(std::ostream* out) const
+      requires(FlatPersistable<Family>) {
     MutexLock lock(&mu_);
     OutputArchive ar(out);
     ar.Magic("KWDY", kDynamicCheckpointFormatVersion);
@@ -321,16 +334,21 @@ class DynamicIndex {
     ar.Vec(buffer_ids_);
     for (const auto& level : levels_) {
       ar.Pod<uint8_t>(level != nullptr ? 1 : 0);
-      if (level != nullptr) ar.Vec(level->id_map);
+      if (level == nullptr) continue;
+      ar.Vec(level->id_map);
+      const std::string container = ContainerBytes(*level->index);
+      ar.Vec(std::as_bytes(std::span<const char>(container)));
     }
   }
 
-  /// Restores a checkpoint. Levels are rebuilt from the registry with the
-  /// persisted options, so the restored index answers — and checkpoints —
-  /// byte-identically to the saved one. (Returned by pointer: the index
-  /// owns a Mutex and is deliberately immovable.)
+  /// Restores a checkpoint. Each level's corpus is gathered from the
+  /// registry and its index attached to the stored container (LoadFlat
+  /// validates it against that corpus), so the restored index answers —
+  /// and checkpoints — byte-identically to the saved one. (Returned by
+  /// pointer: the index owns a Mutex and is deliberately immovable.)
   static std::unique_ptr<DynamicIndex> LoadCheckpoint(
-      std::istream* in, ThreadPool* merge_pool = nullptr) {
+      std::istream* in, ThreadPool* merge_pool = nullptr)
+      requires(FlatPersistable<Family>) {
     InputArchive ar(in);
     const uint32_t version = ar.Magic("KWDY");
     KWSC_CHECK_MSG(version == kDynamicCheckpointFormatVersion,
@@ -370,18 +388,13 @@ class DynamicIndex {
         continue;
       }
       std::vector<ObjectId> id_map = ar.Vec<ObjectId>();
-      auto level = std::make_shared<Level>();
-      level->geoms.reserve(id_map.size());
       for (ObjectId id : id_map) {
-        KWSC_CHECK(id < header.num_objects);
-        level->geoms.push_back(index->all_geoms_[id]);
+        KWSC_CHECK_MSG(id < header.num_objects,
+                       "checkpoint level id %u out of range", id);
       }
-      level->corpus = std::make_unique<Corpus>(index->CorpusOfLocked(id_map));
-      level->id_map = std::move(id_map);
-      level->index = std::make_unique<Family>(
-          std::span<const GeomType>(level->geoms), level->corpus.get(),
-          options);
-      index->levels_.push_back(std::move(level));
+      index->levels_.push_back(index->AttachLevelLocked(
+          std::move(id_map),
+          MmapFile::Adopt(ar.Vec<std::byte, AlignedBytes>())));
     }
     index->PublishLocked();
     return index;
@@ -570,6 +583,37 @@ class DynamicIndex {
       return std::span<const KeywordId>(docs[id]->keywords());
     };
     return Corpus::Gather(ids, doc_of);
+  }
+
+  /// A level's flat container: the bytes KWDY stores after its id list.
+  /// Kept out of SaveCheckpoint, as AttachLevelLocked's LoadFlat is kept out
+  /// of LoadCheckpoint, so the two bodies issue the same archive-op
+  /// sequence, which kwsc-lint's archive-symmetry rule compares.
+  static std::string ContainerBytes(const Family& index) {
+    std::ostringstream out;
+    index.SaveFlat(&out);
+    return std::move(out).str();
+  }
+
+  /// A checkpointed level: members' geometry and corpus gathered from the
+  /// registry, the index attached to the stored container. LoadFlat refuses
+  /// a container that does not match the gathered corpus or names an
+  /// object outside it; a k other than the index's is refused here.
+  std::shared_ptr<const Level> AttachLevelLocked(
+      std::vector<ObjectId> id_map, std::shared_ptr<const MmapFile> file) const
+      KWSC_REQUIRES(mu_) {
+    auto level = std::make_shared<Level>();
+    level->geoms.reserve(id_map.size());
+    for (ObjectId id : id_map) level->geoms.push_back(all_geoms_[id]);
+    level->corpus = std::make_unique<Corpus>(CorpusOfLocked(id_map));
+    level->id_map = std::move(id_map);
+    level->index = std::make_unique<Family>(
+        Family::LoadFlat(file, level->corpus.get()));
+    KWSC_CHECK_MSG(level->index->k() == options_.k,
+                   "checkpoint level has k = %d, the index k = %d",
+                   level->index->k(), options_.k);
+    level->file = std::move(file);
+    return level;
   }
 
   /// The expensive step, runs without the lock in background mode. Null

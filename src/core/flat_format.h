@@ -13,15 +13,18 @@
 //
 // FlatDirPoolWriter flattens NodeDirectory contents through the canonical
 // sorted getters; FlatDirPoolReader re-points directories at the mapped
-// pools via NodeDirectory::AttachFlat. Validation is split to keep mmap
-// loads cheap: the *shallow* pass (run on every load) touches only the node
-// slab — offsets, bounds, child indices, preorder — while the *deep* pass
-// (run by the auditor) additionally scans pool contents for sortedness and
-// object-id ranges, which would fault in every page.
+// pools via NodeDirectory::AttachFlat. Every load checks what the query
+// path dereferences unchecked: the reader's Init makes one linear pass over
+// the two object-id pools (pivots and materialized lists) against the
+// object count, and the *shallow* pass walks the node slab — offsets,
+// bounds, child indices, preorder. The *deep* pass (run by the auditor)
+// additionally scans the other pools for canonical sort orders, which a
+// query never relies on for memory safety.
 
 #ifndef KWSC_CORE_FLAT_FORMAT_H_
 #define KWSC_CORE_FLAT_FORMAT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -129,10 +132,13 @@ class FlatDirPoolWriter {
 /// on the load path pass AbortingFlatErrorSink().
 class FlatDirPoolReader {
  public:
-  /// Resolves the pool slabs. Returns false (after sinking a message) when
-  /// any slab reference is out of bounds or misaligned.
+  /// Resolves the pool slabs, then checks every object id in the pivot and
+  /// materialized-object pools against `num_objects` in one linear pass:
+  /// queries index the rank points and the corpus with those ids unchecked.
+  /// Returns false (after sinking a message) when any slab reference is out
+  /// of bounds or misaligned, or any id is out of range.
   bool Init(const FlatArenaReader& reader, const FlatDirPools& pools,
-            const FlatErrorSink& sink) {
+            uint64_t num_objects, const FlatErrorSink& sink) {
     bool ok = true;
     auto take = [&](auto tag, SlabRef ref, const char* name, auto* out) {
       using T = decltype(tag);
@@ -148,7 +154,9 @@ class FlatDirPoolReader {
     take(uint64_t{}, pools.tuple_pool, "tuple", &tuple_pool_);
     take(FlatMatEntry{}, pools.mat_entry_pool, "mat-entry", &mat_entry_pool_);
     take(ObjectId{}, pools.mat_obj_pool, "mat-object", &mat_obj_pool_);
-    return ok;
+    if (!ok) return false;
+    return IdsInRange(pivot_pool_, "pivot", num_objects, sink) &&
+           IdsInRange(mat_obj_pool_, "materialized", num_objects, sink);
   }
 
   /// Builds the directory view for one node record, checking every pool
@@ -205,6 +213,23 @@ class FlatDirPoolReader {
     return begin <= pool.size() && count <= pool.size() - begin;
   }
 
+  /// A branch-free max over the pool; the offender is located only to word
+  /// the complaint.
+  static bool IdsInRange(std::span<const ObjectId> pool, const char* name,
+                         uint64_t num_objects, const FlatErrorSink& sink) {
+    ObjectId max_id = 0;
+    for (ObjectId id : pool) max_id = std::max(max_id, id);
+    if (pool.empty() || max_id < num_objects) return true;
+    const size_t at = static_cast<size_t>(
+        std::find_if(pool.begin(), pool.end(),
+                     [num_objects](ObjectId id) { return id >= num_objects; }) -
+        pool.begin());
+    sink(std::string("flat ") + name + " object id " +
+         std::to_string(pool[at]) + " at pool entry " + std::to_string(at) +
+         " out of range (" + std::to_string(num_objects) + " objects)");
+    return false;
+  }
+
   std::span<const ObjectId> pivot_pool_;
   std::span<const FlatLargeEntry> large_pool_;
   std::span<const uint64_t> tuple_pool_;
@@ -251,12 +276,12 @@ bool ValidateFlatTreeShallow(std::span<const FlatNodeRec<CellT>> nodes,
 }
 
 /// Deep content validation (auditor only): canonical sort orders inside
-/// every directory range plus object-id bounds. Scans every pool byte, so
-/// keep it off the load path.
+/// every directory range. Object-id bounds are FlatDirPoolReader::Init's,
+/// on every load.
 template <typename CellT>
 bool ValidateFlatTreeDeep(std::span<const FlatNodeRec<CellT>> nodes,
                           const FlatDirPoolReader& pools,
-                          uint64_t num_objects, const FlatErrorSink& sink) {
+                          const FlatErrorSink& sink) {
   bool ok = true;
   for (int64_t i = 0; i < static_cast<int64_t>(nodes.size()); ++i) {
     const FlatNodeRec<CellT>& rec = nodes[static_cast<size_t>(i)];
@@ -269,12 +294,6 @@ bool ValidateFlatTreeDeep(std::span<const FlatNodeRec<CellT>> nodes,
       sink("node " + std::to_string(i) + ": " + what);
       ok = false;
     };
-    for (ObjectId e : view.pivots) {
-      if (static_cast<uint64_t>(e) >= num_objects) {
-        complain("flat pivot object id out of range");
-        break;
-      }
-    }
     for (size_t j = 0; j < view.large.size(); ++j) {
       // lids are assigned in increasing keyword order, so in sorted order
       // the lid sequence is exactly 0, 1, 2, ...
@@ -306,15 +325,6 @@ bool ValidateFlatTreeDeep(std::span<const FlatNodeRec<CellT>> nodes,
         complain("flat materialized entry empty");
         break;
       }
-      bool id_ok = true;
-      for (ObjectId e : view.mat_pool.subspan(entry.begin, entry.count)) {
-        if (static_cast<uint64_t>(e) >= num_objects) {
-          complain("flat materialized object id out of range");
-          id_ok = false;
-          break;
-        }
-      }
-      if (!id_ok) break;
     }
   }
   return ok;

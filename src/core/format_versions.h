@@ -59,11 +59,13 @@ inline constexpr uint32_t kSrpKwFormatVersion = 1;
 /// kwsc-abi: format ksi tags=KWK2 files=ksi/framework_ksi
 inline constexpr uint32_t kKsiFormatVersion = 1;
 
-/// The batch-dynamic checkpoint ("KWDY" v1 stream): registry + tombstones +
-/// buffer + the level manifest; levels are rebuilt deterministically on
-/// load (core/dynamic_index.h).
+/// The batch-dynamic checkpoint ("KWDY" v2 stream): registry + tombstones +
+/// buffer, then per present level its id list and its index's flat
+/// container as one byte vector; a load attaches each level with LoadFlat
+/// instead of rebuilding it (core/dynamic_index.h). v1 stored only the id
+/// lists and has no reader.
 /// kwsc-abi: format dynamic-checkpoint tags=KWDY files=core/dynamic_index
-inline constexpr uint32_t kDynamicCheckpointFormatVersion = 1;
+inline constexpr uint32_t kDynamicCheckpointFormatVersion = 2;
 
 /// Shared persisted substructures every family embeds: the framework
 /// options image, NodeDirectory's flat form, the flat node records and

@@ -217,9 +217,10 @@ class OrpKwIndex {
   // ---- Persistence: the v2 flat layout (common/flat_arena.h; DESIGN.md
   // "On-disk layout v2") is the index's only on-disk form. SaveFlat writes
   // one offset-addressed container; LoadFlat is an mmap plus
-  // header/structure validation — the bulk payload (rank tables, rank
-  // points, directory pools) stays mapped and only the O(num_nodes) arena
-  // is rebuilt, each directory attached as a zero-copy view. The corpus is
+  // header/structure validation and one pass over the object-id pools —
+  // the bulk payload (rank tables, rank points, directory pools) stays
+  // mapped and only the O(num_nodes) arena is rebuilt, each directory
+  // attached as a zero-copy view. The corpus is
   // saved separately (Corpus::Save) and supplied again on LoadFlat; the
   // object count and weight guard against a mismatch. ----
 
@@ -306,7 +307,7 @@ class OrpKwIndex {
     index.rank_points_.Attach(reader.Slab<Point<D, int64_t>>(root.rank_points));
 
     FlatDirPoolReader pools;
-    KWSC_CHECK(pools.Init(reader, root.dir_pools, sink));
+    KWSC_CHECK(pools.Init(reader, root.dir_pools, root.num_objects, sink));
     const auto recs = reader.Slab<FlatNodeRec<RankBox>>(root.nodes);
     KWSC_CHECK(ValidateFlatTreeShallow(recs, pools, sink));
     index.nodes_.resize(recs.size());
@@ -355,14 +356,16 @@ class OrpKwIndex {
       ok = false;
     }
     FlatDirPoolReader pools;
-    if (!pools.Init(reader, root.dir_pools, sink)) return false;
+    if (!pools.Init(reader, root.dir_pools, root.num_objects, sink)) {
+      return false;
+    }
     if (!reader.SlabOk<FlatNodeRec<RankBox>>(root.nodes)) {
       sink("flat node slab out of bounds");
       return false;
     }
     const auto recs = reader.Slab<FlatNodeRec<RankBox>>(root.nodes);
     if (!ValidateFlatTreeShallow(recs, pools, sink)) ok = false;
-    if (!ValidateFlatTreeDeep(recs, pools, root.num_objects, sink)) ok = false;
+    if (!ValidateFlatTreeDeep(recs, pools, sink)) ok = false;
     return ok;
   }
 

@@ -212,7 +212,7 @@ class SpKwBoxIndex {
     index.points_.Attach(reader.Slab<PointType>(root.points));
 
     FlatDirPoolReader pools;
-    KWSC_CHECK(pools.Init(reader, root.dir_pools, sink));
+    KWSC_CHECK(pools.Init(reader, root.dir_pools, root.num_objects, sink));
     const auto recs = reader.Slab<FlatNodeRec<Box<D, Scalar>>>(root.nodes);
     KWSC_CHECK(ValidateFlatTreeShallow(recs, pools, sink));
     index.nodes_.resize(recs.size());
@@ -253,14 +253,16 @@ class SpKwBoxIndex {
       ok = false;
     }
     FlatDirPoolReader pools;
-    if (!pools.Init(reader, root.dir_pools, sink)) return false;
+    if (!pools.Init(reader, root.dir_pools, root.num_objects, sink)) {
+      return false;
+    }
     if (!reader.SlabOk<FlatNodeRec<Box<D, Scalar>>>(root.nodes)) {
       sink("flat node slab out of bounds");
       return false;
     }
     const auto recs = reader.Slab<FlatNodeRec<Box<D, Scalar>>>(root.nodes);
     if (!ValidateFlatTreeShallow(recs, pools, sink)) ok = false;
-    if (!ValidateFlatTreeDeep(recs, pools, root.num_objects, sink)) ok = false;
+    if (!ValidateFlatTreeDeep(recs, pools, sink)) ok = false;
     return ok;
   }
 

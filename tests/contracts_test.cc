@@ -15,7 +15,11 @@
 
 #include "core/contracts.h"
 
+#include <concepts>
 #include <cstdint>
+#include <istream>
+#include <memory>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -112,6 +116,23 @@ static_assert(DynamizableFamily<RrKwIndex<2>>);
 // DynamicRegionType and has no MatchesRegion, so it is deliberately outside
 // the dynamization contract (rebuild it instead).
 static_assert(!DynamizableFamily<DimRedOrpKwIndex<3>>);
+
+// A KWDY checkpoint stores each level's flat container and attaches it on
+// load, so only FlatPersistable families checkpoint: RR-KW<2> dynamizes
+// but has no flat form, and its DynamicIndex has no SaveCheckpoint or
+// LoadCheckpoint.
+template <typename Dynamic>
+concept Checkpointable =
+    requires(const Dynamic& d, std::ostream* out, std::istream* in) {
+      d.SaveCheckpoint(out);
+      {
+        Dynamic::LoadCheckpoint(in)
+      } -> std::same_as<std::unique_ptr<Dynamic>>;
+    };
+static_assert(Checkpointable<DynamicIndex<OrpKwIndex<2>>>);
+static_assert(Checkpointable<DynamicIndex<SpKwBoxIndex<2>>>);
+static_assert(Checkpointable<DynamicIndex<RrKwIndex<1>>>);
+static_assert(!Checkpointable<DynamicIndex<RrKwIndex<2>>>);
 
 // ---------------------------------------------------------------------------
 // L∞NN-KW (Corollary 5) and L2NN-KW (Corollary 7): t-nearest surface.

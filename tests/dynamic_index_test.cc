@@ -7,7 +7,8 @@
 // static index over the live object set, the multi-level auditor is clean
 // at every checkpoint, and Compact() after quiescence saves the same flat
 // bytes as a from-scratch build. Plus: checkpoint round-trips (and the
-// rejection of a checkpoint naming an object it does not hold),
+// rejection of a checkpoint naming an object it does not hold, a level
+// container that is corrupt, foreign or cut short, or a v1 stream),
 // registry-once memory accounting through insert→delete→reinsert cycles, and
 // background merges with concurrent-consistency spot checks.
 
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flat_arena.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/dynamic_index.h"
@@ -268,6 +270,139 @@ TEST(DynamicIndexCheckpointDeath, OutOfRangeBufferIdRejected) {
         auto loaded = DynamicIndex<OrpKwIndex<2>>::LoadCheckpoint(&in);
       },
       "checkpoint buffer id 1073741824 out of range");
+}
+
+// The eight objects of the one-level checkpoint below.
+std::vector<Point<2>> OneLevelPoints() {
+  std::vector<Point<2>> pts;
+  for (int i = 0; i < 8; ++i) pts.push_back({{0.1 * i, 0.3 * (i % 3)}});
+  return pts;
+}
+
+std::vector<Document> OneLevelDocuments() {
+  std::vector<Document> docs;
+  for (KeywordId i = 0; i < 8; ++i) docs.push_back(Document{i, 20, 21});
+  return docs;
+}
+
+// A checkpoint with one level: the eight objects through a capacity-8
+// buffer carry into slot 0, and that level's flat container ends the
+// stream, right after its byte count. `*container_at` receives the
+// container's offset.
+std::string OneLevelCheckpoint(size_t* container_at) {
+  FrameworkOptions opt;
+  opt.k = 2;
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/8);
+  dynamic.InsertBatch(OneLevelPoints(), OneLevelDocuments());
+  EXPECT_EQ(dynamic.ActiveLevels(), 1u);
+  std::ostringstream out;
+  dynamic.SaveCheckpoint(&out);
+  const std::string bytes = out.str();
+  const size_t at = bytes.rfind("KWF2");
+  EXPECT_NE(at, std::string::npos);
+  uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + at - sizeof(count), sizeof(count));
+  EXPECT_EQ(count, bytes.size() - at);
+  *container_at = at;
+  return bytes;
+}
+
+// The one-level checkpoint with its container replaced by `container`.
+std::string WithLevelContainer(const std::string& bytes, size_t at,
+                               const std::string& container) {
+  std::string spliced = bytes.substr(0, at - sizeof(uint64_t));
+  const uint64_t count = container.size();
+  spliced.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  return spliced + container;
+}
+
+void LoadCheckpointBytes(const std::string& bytes) {
+  std::istringstream in(bytes);
+  auto loaded = DynamicIndex<OrpKwIndex<2>>::LoadCheckpoint(&in);
+}
+
+// A loaded level keeps its container on the heap, and MemoryBytes charges it
+// on top of what the level's corpus and index own.
+TEST(DynamicIndexCheckpoint, LoadedLevelChargesItsContainer) {
+  size_t at = 0;
+  const std::string bytes = OneLevelCheckpoint(&at);
+  std::istringstream in(bytes);
+  const auto loaded = DynamicIndex<OrpKwIndex<2>>::LoadCheckpoint(&in);
+  const auto view = loaded->DebugAuditView();
+  ASSERT_EQ(view.levels.size(), 1u);
+  const auto& level = *view.levels[0];
+  ASSERT_NE(level.file, nullptr);
+  EXPECT_EQ(level.file->size(), bytes.size() - at);
+  EXPECT_GE(loaded->MemoryBytes(), level.file->size() +
+                                       level.corpus->MemoryBytes() +
+                                       level.index->MemoryBytes());
+}
+
+// A level's container comes from the file, so it gets the static load's
+// checks: an object id past the level's corpus is refused before a query
+// can index the rank points with it.
+TEST(DynamicIndexCheckpointDeath, OutOfRangeLevelContainerIdRejected) {
+  size_t at = 0;
+  std::string bytes = OneLevelCheckpoint(&at);
+  FlatHeader header;
+  std::memcpy(&header, bytes.data() + at, sizeof(header));
+  OrpKwIndex<2>::FlatRoot root;
+  std::memcpy(&root, bytes.data() + at + header.root_offset, sizeof(root));
+  ASSERT_GT(root.dir_pools.pivot_pool.count, 0u);
+  const ObjectId bogus = 8;  // The level holds objects 0..7.
+  std::memcpy(bytes.data() + at + root.dir_pools.pivot_pool.offset, &bogus,
+              sizeof(bogus));
+  EXPECT_DEATH(LoadCheckpointBytes(bytes),
+               "flat pivot object id 8 at pool entry 0 out of range");
+}
+
+// The container of an index over another object set does not attach to the
+// level's corpus.
+TEST(DynamicIndexCheckpointDeath, ForeignLevelContainerRejected) {
+  size_t at = 0;
+  const std::string bytes = OneLevelCheckpoint(&at);
+  const Corpus other(std::vector<Document>{Document{1, 2}, Document{2, 3}});
+  FrameworkOptions opt;
+  opt.k = 2;
+  const std::vector<Point<2>> pts = {Point<2>{{0.1, 0.2}},
+                                     Point<2>{{0.3, 0.4}}};
+  const std::string foreign = SaveFlatToBytes(OrpKwIndex<2>(pts, &other, opt));
+  EXPECT_DEATH(LoadCheckpointBytes(WithLevelContainer(bytes, at, foreign)),
+               "corpus object count mismatch");
+}
+
+// A container over the level's own objects but built for another k passes
+// LoadFlat's corpus checks; the level is still refused, because the dynamic
+// index hands every level queries of its own k.
+TEST(DynamicIndexCheckpointDeath, OtherKLevelContainerRejected) {
+  size_t at = 0;
+  const std::string bytes = OneLevelCheckpoint(&at);
+  const Corpus corpus(OneLevelDocuments());
+  FrameworkOptions opt;
+  opt.k = 3;
+  const std::string other_k =
+      SaveFlatToBytes(OrpKwIndex<2>(OneLevelPoints(), &corpus, opt));
+  EXPECT_DEATH(LoadCheckpointBytes(WithLevelContainer(bytes, at, other_k)),
+               "checkpoint level has k = 3, the index k = 2");
+}
+
+// A stream cut inside a level's container is refused when its byte count is
+// read, before any allocation or attach.
+TEST(DynamicIndexCheckpointDeath, TruncatedLevelContainerRejected) {
+  size_t at = 0;
+  const std::string bytes = OneLevelCheckpoint(&at);
+  EXPECT_DEATH(LoadCheckpointBytes(bytes.substr(0, at + kFlatAlignment)),
+               "vector length exceeds remaining archive bytes");
+}
+
+// KWDY v1 stored only each level's id list; there is no v1 reader.
+TEST(DynamicIndexCheckpointDeath, VersionOneRejected) {
+  size_t at = 0;
+  std::string bytes = OneLevelCheckpoint(&at);
+  const uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 4, &v1, sizeof(v1));  // After the "KWDY" tag.
+  EXPECT_DEATH(LoadCheckpointBytes(bytes),
+               "dynamic checkpoint version 1 unsupported");
 }
 
 // Delete semantics: tombstoning is idempotent, ids are never reused, and

@@ -394,6 +394,47 @@ TEST(FlatLayoutDeathTest, WrongCorpusAborts) {
       "corpus");
 }
 
+// An ORP-KW container whose first id in the chosen object-id pool is
+// patched to the object count: one past the last valid id.
+std::string WithOutOfRangePoolId(SlabRef FlatDirPools::*pool) {
+  Workload w = MakeWorkload(600, 61);
+  const OrpKwIndex<2> built(w.pts, &w.corpus, w.opt);
+  std::string bytes = SaveFlatToBytes(built);
+  FlatHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  OrpKwIndex<2>::FlatRoot root;
+  std::memcpy(&root, bytes.data() + header.root_offset, sizeof(root));
+  const SlabRef ref = root.dir_pools.*pool;
+  EXPECT_GT(ref.count, 0u);
+  const ObjectId bogus = 600;
+  std::memcpy(bytes.data() + ref.offset, &bogus, sizeof(bogus));
+  // The auditor reports the same id as a flat-layout violation, no abort.
+  const audit::AuditReport report =
+      audit::AuditFlatFile<OrpKwIndex<2>>(*MmapFile::FromBytes(bytes));
+  EXPECT_TRUE(report.Has(audit::AuditCheck::kFlatLayout))
+      << report.ToString();
+  return bytes;
+}
+
+void LoadOrpWithWorkloadCorpus(const std::string& bytes) {
+  Workload w = MakeWorkload(600, 61);
+  auto loaded = OrpKwIndex<2>::LoadFlat(MmapFile::FromBytes(bytes), &w.corpus);
+}
+
+// Queries index the rank points and the corpus with pool ids unchecked, so
+// the load refuses an out-of-range id in either object-id pool.
+TEST(FlatLayoutDeathTest, OutOfRangePivotIdAborts) {
+  const std::string bytes = WithOutOfRangePoolId(&FlatDirPools::pivot_pool);
+  EXPECT_DEATH(LoadOrpWithWorkloadCorpus(bytes),
+               "flat pivot object id 600 at pool entry 0 out of range");
+}
+
+TEST(FlatLayoutDeathTest, OutOfRangeMaterializedIdAborts) {
+  const std::string bytes = WithOutOfRangePoolId(&FlatDirPools::mat_obj_pool);
+  EXPECT_DEATH(LoadOrpWithWorkloadCorpus(bytes),
+               "flat materialized object id 600 at pool entry 0 out of range");
+}
+
 // ---- Intersection kernels ----
 
 std::vector<ObjectId> MakeSortedList(Rng* rng, size_t n, uint32_t universe) {

@@ -90,16 +90,16 @@ TEST(GoldenFormat, SpKwBoxV2LoadsAuditClean) {
   testing::ExpectAuditClean(loaded);
 }
 
-TEST(GoldenFormat, DynamicCheckpointV1LoadsAuditCleanAndMatchesReplay) {
-  std::istringstream in(ReadGolden("dynamic_checkpoint_v1.bin"));
+TEST(GoldenFormat, DynamicCheckpointV2LoadsAuditCleanAndMatchesReplay) {
+  std::istringstream in(ReadGolden("dynamic_checkpoint_v2.bin"));
   const auto loaded = DynamicIndex<OrpKwIndex<2>>::LoadCheckpoint(&in);
   ASSERT_NE(loaded, nullptr);
   testing::ExpectAuditClean(*loaded);
   const auto replayed = golden::MakeDynamic();
   EXPECT_EQ(loaded->num_objects(), replayed->num_objects());
   EXPECT_EQ(loaded->live_objects(), replayed->live_objects());
-  // Same behaviour, and re-saving reproduces the committed bytes (levels
-  // are rebuilt deterministically on load).
+  // Same behaviour, and re-saving reproduces the committed bytes (each
+  // level attaches its stored container, which re-saves to itself).
   const Box<2> range{Point<2>{{0, 0}}, Point<2>{{7, 6}}};
   for (KeywordId w1 = 0; w1 < 6; ++w1) {
     for (KeywordId w2 = w1 + 1; w2 < 6; ++w2) {
@@ -110,7 +110,7 @@ TEST(GoldenFormat, DynamicCheckpointV1LoadsAuditCleanAndMatchesReplay) {
   }
   std::ostringstream resaved;
   loaded->SaveCheckpoint(&resaved);
-  EXPECT_EQ(resaved.str(), ReadGolden("dynamic_checkpoint_v1.bin"));
+  EXPECT_EQ(resaved.str(), ReadGolden("dynamic_checkpoint_v2.bin"));
 }
 
 // The queries a fresh build answers, the golden-loaded indexes must answer

@@ -109,7 +109,7 @@ inline std::vector<GoldenFile> RenderAll() {
   {
     std::ostringstream out;
     MakeDynamic()->SaveCheckpoint(&out);
-    files.push_back({"dynamic_checkpoint_v1.bin", out.str()});
+    files.push_back({"dynamic_checkpoint_v2.bin", out.str()});
   }
   return files;
 }

@@ -1,0 +1,173 @@
+#!/usr/bin/env python3
+# Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
+"""Runs alternating perfbench pairs: a parent revision against this tree.
+
+Run from anywhere inside a checkout:
+
+    python3 tools/perf_pairs.py --parent HEAD~1 --workload dynamic_mixed \
+        --pairs 10 --seconds 10 --seed 1
+
+The parent revision is exported with `git archive` into a temporary
+directory (under $TMPDIR when set) and removed afterwards. Each side is
+built and run through its own perfbench/run.py, so each builds into its own
+checkout's .bench_build/; nothing is written under perfbench/. Every pair
+runs both sides once with the same seed, and the side that runs first
+alternates from pair to pair.
+
+The report gives, for every end-to-end metric BENCHMARK.json declares, each
+side's median and quartiles, the change/parent ratio of the medians, how
+many pairs the change won (by the metric's `better` direction), and whether
+the median moved by more than the parent's interquartile range. A median
+worse than the metric's bound is marked WORSE. Then it says whether the two
+sides' `counts` lines agree and lists the keys that differ, and how many
+operations failed on each side. Exit status: 0, or 1 when a run failed.
+"""
+
+import argparse
+import importlib.util
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def export(revision, into):
+    """Writes the tree of `revision` into the directory `into`."""
+    archive = os.path.join(into, "parent.tar")
+    subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", "-o",
+                    archive, revision], check=True)
+    tree = os.path.join(into, "parent")
+    with tarfile.open(archive) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(tree, filter="data")
+        else:
+            tar.extractall(tree)
+    os.remove(archive)
+    return tree
+
+
+def runner(tree, name):
+    """Imports `tree`/perfbench/run.py as a module and builds it."""
+    sys.dont_write_bytecode = True  # No __pycache__ under perfbench/.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run_" + name, os.path.join(tree, "perfbench", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not module.build():
+        sys.exit("perf_pairs: the %s side does not build" % name)
+    return module
+
+
+def parse(output):
+    """The counts dict and the result dict of one run's standard output."""
+    counts, result = None, None
+    for line in output.splitlines():
+        if line.startswith("counts "):
+            counts = json.loads(line[len("counts "):])
+        elif line.startswith("{"):
+            result = json.loads(line)
+    return counts, result
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0]
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return q[0], q[2]
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True,
+                        help="git revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        metrics = json.load(f)["end_to_end"]
+
+    workdir = tempfile.mkdtemp(prefix="perf_pairs_")
+    try:
+        sides = {"parent": runner(export(args.parent, workdir), "parent"),
+                 "change": runner(ROOT, "change")}
+        values = {side: {m["name"]: [] for m in metrics} for side in sides}
+        counts = {side: None for side in sides}
+        failed = {side: 0 for side in sides}
+        status = 0
+        for pair in range(args.pairs):
+            order = ["parent", "change"] if pair % 2 == 0 else [
+                "change", "parent"]
+            results = {}
+            for side in order:
+                code, output = sides[side].run(args.workload, args.seed,
+                                               args.seconds, 0)
+                run_counts, result = parse(output)
+                if code != 0 or result is None:
+                    print("pair %d: %s run exited %d" % (pair, side, code))
+                    status = 1
+                    continue
+                counts[side] = counts[side] or run_counts
+                failed[side] += result.get("failed", 0)
+                results[side] = result["metrics"]
+            if len(results) == len(sides):  # Keep the pairs aligned.
+                for side, result in results.items():
+                    for m in metrics:
+                        values[side][m["name"]].append(
+                            result[m["name"]]["value"])
+            print("# pair %d/%d done" % (pair + 1, args.pairs),
+                  file=sys.stderr, flush=True)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+    print("%s, seed %d, %d pairs of %g s runs, parent %s against this tree"
+          % (args.workload, args.seed, args.pairs, args.seconds, args.parent))
+    print("%-13s %28s %28s %7s %6s %8s" % (
+        "metric", "parent median [q1, q3]", "change median [q1, q3]",
+        "ratio", "wins", "gain>IQR"))
+    for m in metrics:
+        name = m["name"]
+        parent, change = values["parent"][name], values["change"][name]
+        pairs = list(zip(parent, change))
+        if not pairs:
+            continue
+        lower = m["better"] == "lower"
+        wins = sum(1 for p, c in pairs if (c < p if lower else c > p))
+        pm, cm = statistics.median(parent), statistics.median(change)
+        p1, p3 = quartiles(parent)
+        c1, c3 = quartiles(change)
+        ratio = cm / pm if pm else float("nan")
+        gain = (pm - cm) if lower else (cm - pm)
+        worse = (ratio > 1 + m["bound"]) if lower else (
+            ratio < 1 - m["bound"])
+        print("%-13s %10.4g [%7.4g, %7.4g] %10.4g [%7.4g, %7.4g] %7.3f "
+              "%3d/%-2d %8s%s" % (
+                  name, pm, p1, p3, cm, c1, c3, ratio, wins, len(pairs),
+                  "yes" if gain > p3 - p1 else "no",
+                  "  WORSE (bound %g)" % m["bound"] if worse else ""))
+    print("failed operations: parent %d, change %d"
+          % (failed["parent"], failed["change"]))
+    if counts["parent"] is None or counts["change"] is None:
+        print("counts: missing on one side")
+        return 1
+    keys = sorted(set(counts["parent"]) | set(counts["change"]))
+    differ = [k for k in keys
+              if counts["parent"].get(k) != counts["change"].get(k)]
+    if not differ:
+        print("counts: identical")
+    for k in differ:
+        print("counts differ: %s parent %s change %s"
+              % (k, counts["parent"].get(k), counts["change"].get(k)))
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
