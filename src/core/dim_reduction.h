@@ -74,7 +74,7 @@ class DimRedOrpKwIndex {
         points_(points.begin(), points.end()) {
     KWSC_CHECK(corpus != nullptr);
     KWSC_CHECK(points.size() == corpus->num_objects());
-    KWSC_CHECK(options_.k >= 2 && options_.k <= 8);
+    CheckKeywordArity(options_.k);
     if (points_.empty()) return;
     std::unique_ptr<ThreadPool> owned_pool;
     if (pool == nullptr) {
@@ -122,7 +122,7 @@ class DimRedOrpKwIndex {
   void QueryEmit(const BoxType& q, std::span<const KeywordId> keywords,
                  Emit&& emit, QueryStats* stats = nullptr,
                  OpsBudget* budget = nullptr) const {
-    const std::vector<KeywordId> sorted =
+    const SortedKeywords sorted =
         CanonicalizeQueryKeywords(keywords, options_.k);
     if (nodes_.empty() || !q.Valid()) return;
     OpsBudget unlimited;

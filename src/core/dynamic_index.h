@@ -122,7 +122,7 @@ class DynamicIndex {
         buffer_capacity_(std::max<size_t>(1, buffer_capacity)),
         merge_pool_(merge_pool),
         dead_(std::make_shared<const std::vector<uint8_t>>()) {
-    KWSC_CHECK(options_.k >= 2 && options_.k <= 8);
+    CheckKeywordArity(options_.k);
     if (merge_pool_ != nullptr) merge_tasks_.emplace(merge_pool_);
   }
 
@@ -198,7 +198,7 @@ class DynamicIndex {
                               std::span<const KeywordId> keywords,
                               QueryStats* stats = nullptr,
                               OpsBudget* budget = nullptr) const {
-    const std::vector<KeywordId> sorted =
+    const SortedKeywords sorted =
         CanonicalizeQueryKeywords(keywords, options_.k);
     OpsBudget unlimited;
     if (budget == nullptr) budget = &unlimited;

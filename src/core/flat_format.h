@@ -239,12 +239,15 @@ class FlatDirPoolReader {
 
 /// Shallow structural validation over the node slab only (run on every
 /// load): child indices in range and in DFS preorder, levels increase by
-/// one, directory ranges inside the pools. Never dereferences pool contents,
-/// so an mmap load faults in just the node records.
-template <typename CellT>
+/// one, directory ranges inside the pools. Each node's range-checked
+/// directory view goes to `on_view(node, view)`: LoadFlat attaches it, so an
+/// open builds every view once; the auditor passes a no-op. Of the pools it
+/// reads only the materialized entries, so an mmap load faults in little
+/// beyond the node records.
+template <typename CellT, typename OnView>
 bool ValidateFlatTreeShallow(std::span<const FlatNodeRec<CellT>> nodes,
                              const FlatDirPoolReader& pools,
-                             const FlatErrorSink& sink) {
+                             const FlatErrorSink& sink, OnView&& on_view) {
   bool ok = true;
   // An empty node slab is legal: an index over an empty corpus has no tree.
   const int64_t n = static_cast<int64_t>(nodes.size());
@@ -270,7 +273,11 @@ bool ValidateFlatTreeShallow(std::span<const FlatNodeRec<CellT>> nodes,
       }
     }
     FlatDirView view;
-    if (!pools.MakeView(rec, i, &view, sink)) ok = false;
+    if (pools.MakeView(rec, i, &view, sink)) {
+      on_view(static_cast<size_t>(i), view);
+    } else {
+      ok = false;
+    }
   }
   return ok;
 }

@@ -22,6 +22,7 @@
 #define KWSC_CORE_FRAMEWORK_H_
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -215,21 +216,65 @@ inline void MergeQueryStats(const QueryStats& from, QueryStats* into) {
   into->budget_exhausted |= from.budget_exhausted;
 }
 
+/// The largest k an index accepts. Directory probes size their local-id
+/// scratch by it, and SortedKeywords holds this many ids inline.
+inline constexpr int kMaxQueryKeywords = 8;
+
+/// Aborts unless 2 <= k <= kMaxQueryKeywords: what the constructors accept
+/// and what LoadFlat accepts from a file.
+inline void CheckKeywordArity(int k) {
+  KWSC_CHECK_MSG(k >= 2 && k <= kMaxQueryKeywords,
+                 "k must be in [2, 8], got %d", k);
+}
+
+/// A query's keywords in canonical order: sorted and pairwise distinct (the
+/// order the tuple registries use). Held inline, so canonicalizing a query
+/// allocates nothing; the query paths view it as a span.
+class SortedKeywords {
+ public:
+  /// Sorts `keywords`; aborts on a duplicate or on more than
+  /// kMaxQueryKeywords of them.
+  explicit SortedKeywords(std::span<const KeywordId> keywords)
+      : size_(keywords.size()) {
+    KWSC_CHECK_MSG(keywords.size() <= kMaxQueryKeywords,
+                   "a query holds at most %d keywords, got %zu",
+                   kMaxQueryKeywords, keywords.size());
+    // Insertion sort while copying: at most 8 ids, and no call into
+    // std::sort's general machinery on every query.
+    for (size_t i = 0; i < size_; ++i) {
+      const KeywordId w = keywords[i];
+      size_t j = i;
+      for (; j > 0 && ids_[j - 1] > w; --j) ids_[j] = ids_[j - 1];
+      ids_[j] = w;
+    }
+    for (size_t i = 1; i < size_; ++i) {
+      KWSC_CHECK_MSG(ids_[i] != ids_[i - 1],
+                     "query keywords must be distinct (duplicate %u)",
+                     ids_[i]);
+    }
+  }
+
+  const KeywordId* data() const { return ids_.data(); }
+  size_t size() const { return size_; }
+  operator std::span<const KeywordId>() const { return {ids_.data(), size_}; }
+  /// A heap copy, for callers that hold the keywords as a vector.
+  operator std::vector<KeywordId>() const {
+    return std::vector<KeywordId>(ids_.begin(), ids_.begin() + size_);
+  }
+
+ private:
+  std::array<KeywordId, kMaxQueryKeywords> ids_{};
+  size_t size_;
+};
+
 /// Validates a query keyword set against the construction-time k: exactly k
-/// keywords, pairwise distinct. Returns them sorted (the canonical order the
-/// tuple registries use).
-inline std::vector<KeywordId> CanonicalizeQueryKeywords(
+/// keywords, pairwise distinct. Returns them sorted.
+inline SortedKeywords CanonicalizeQueryKeywords(
     std::span<const KeywordId> keywords, int k) {
   KWSC_CHECK_MSG(static_cast<int>(keywords.size()) == k,
                  "query must supply exactly k=%d keywords, got %zu", k,
                  keywords.size());
-  std::vector<KeywordId> sorted(keywords.begin(), keywords.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (size_t i = 1; i < sorted.size(); ++i) {
-    KWSC_CHECK_MSG(sorted[i] != sorted[i - 1],
-                   "query keywords must be distinct (duplicate %u)", sorted[i]);
-  }
-  return sorted;
+  return SortedKeywords(keywords);
 }
 
 /// The large/small cutoff at a node of weight `node_weight`:

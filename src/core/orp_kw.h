@@ -33,6 +33,7 @@
 #include <numeric>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/abi.h"
@@ -86,8 +87,7 @@ class OrpKwIndex {
     KWSC_CHECK_MSG(points.size() == corpus->num_objects(),
                    "points (%zu) and corpus (%zu) disagree", points.size(),
                    corpus->num_objects());
-    KWSC_CHECK_MSG(options_.k >= 2 && options_.k <= 8,
-                   "k must be in [2, 8], got %d", options_.k);
+    CheckKeywordArity(options_.k);
     std::vector<Point<D, int64_t>> rank_points(points.size());
     for (uint32_t e = 0; e < points.size(); ++e) {
       rank_points[e] = rank_.ToRank(e);
@@ -131,7 +131,7 @@ class OrpKwIndex {
   void QueryEmit(const BoxType& q, std::span<const KeywordId> keywords,
                  Emit&& emit, QueryStats* stats = nullptr,
                  OpsBudget* budget = nullptr) const {
-    const std::vector<KeywordId> sorted =
+    const SortedKeywords sorted =
         CanonicalizeQueryKeywords(keywords, options_.k);
     const RankBox rq = rank_.ToRankBox(q);
     QueryRankEmit(rq, sorted, emit, stats, budget);
@@ -291,6 +291,7 @@ class OrpKwIndex {
     KWSC_CHECK_MSG(root.total_weight == corpus->total_weight(),
                    "corpus weight mismatch");
 
+    CheckKeywordArity(root.options.k);
     OrpKwIndex index(corpus);
     index.options_.k = root.options.k;
     index.options_.alpha = root.options.alpha;
@@ -309,19 +310,16 @@ class OrpKwIndex {
     FlatDirPoolReader pools;
     KWSC_CHECK(pools.Init(reader, root.dir_pools, root.num_objects, sink));
     const auto recs = reader.Slab<FlatNodeRec<RankBox>>(root.nodes);
-    KWSC_CHECK(ValidateFlatTreeShallow(recs, pools, sink));
     index.nodes_.resize(recs.size());
-    for (size_t i = 0; i < recs.size(); ++i) {
+    const auto attach = [&](size_t i, const FlatDirView& view) {
       Node& node = index.nodes_[i];
       node.cell = recs[i].cell;
       node.child[0] = recs[i].child[0];
       node.child[1] = recs[i].child[1];
       node.level = recs[i].level;
-      FlatDirView view;
-      KWSC_CHECK(pools.MakeView(recs[i], static_cast<int64_t>(i), &view,
-                                sink));
       node.dir.AttachFlat(view);
-    }
+    };
+    KWSC_CHECK(ValidateFlatTreeShallow(recs, pools, sink, attach));
     index.mmap_ = std::move(file);
     return index;
   }
@@ -346,6 +344,11 @@ class OrpKwIndex {
       return false;
     }
     bool ok = true;
+    if (root.options.k < 2 || root.options.k > kMaxQueryKeywords) {
+      sink("flat root k " + std::to_string(root.options.k) +
+           " outside [2, 8]");
+      ok = false;
+    }
     RankSpace<D, Scalar> rank_probe;
     if (!rank_probe.AttachFlat(reader, root.rank, root.num_objects, sink)) {
       ok = false;
@@ -364,7 +367,10 @@ class OrpKwIndex {
       return false;
     }
     const auto recs = reader.Slab<FlatNodeRec<RankBox>>(root.nodes);
-    if (!ValidateFlatTreeShallow(recs, pools, sink)) ok = false;
+    if (!ValidateFlatTreeShallow(recs, pools, sink,
+                                 [](size_t, const FlatDirView&) {})) {
+      ok = false;
+    }
     if (!ValidateFlatTreeDeep(recs, pools, sink)) ok = false;
     return ok;
   }
@@ -608,7 +614,7 @@ class OrpKwIndex {
     }
     if (node.IsLeaf()) return true;
 
-    uint32_t lids[8];
+    uint32_t lids[kMaxQueryKeywords];
     KeywordId small_keyword = 0;
     if (!node.dir.ResolveLarge(kws, lids, &small_keyword)) {
       // Some query keyword is small at this node: its materialized list

@@ -26,6 +26,7 @@
 #include <numeric>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/abi.h"
@@ -69,7 +70,7 @@ class SpKwBoxIndex {
     points_.Assign(std::vector<PointType>(points.begin(), points.end()));
     KWSC_CHECK(corpus != nullptr);
     KWSC_CHECK(points.size() == corpus->num_objects());
-    KWSC_CHECK(options_.k >= 2 && options_.k <= 8);
+    CheckKeywordArity(options_.k);
     if (!points_.empty()) {
       std::vector<ObjectId> active(points_.size());
       std::iota(active.begin(), active.end(), 0);
@@ -100,7 +101,7 @@ class SpKwBoxIndex {
   void QueryEmit(const QueryType& q, std::span<const KeywordId> keywords,
                  Emit&& emit, QueryStats* stats = nullptr,
                  OpsBudget* budget = nullptr) const {
-    const std::vector<KeywordId> sorted =
+    const SortedKeywords sorted =
         CanonicalizeQueryKeywords(keywords, options_.k);
     if (nodes_.empty()) return;
     OpsBudget unlimited;
@@ -199,6 +200,7 @@ class SpKwBoxIndex {
     KWSC_CHECK_MSG(root.total_weight == corpus->total_weight(),
                    "corpus weight mismatch");
 
+    CheckKeywordArity(root.options.k);
     SpKwBoxIndex index(corpus);
     index.options_.k = root.options.k;
     index.options_.alpha = root.options.alpha;
@@ -214,19 +216,16 @@ class SpKwBoxIndex {
     FlatDirPoolReader pools;
     KWSC_CHECK(pools.Init(reader, root.dir_pools, root.num_objects, sink));
     const auto recs = reader.Slab<FlatNodeRec<Box<D, Scalar>>>(root.nodes);
-    KWSC_CHECK(ValidateFlatTreeShallow(recs, pools, sink));
     index.nodes_.resize(recs.size());
-    for (size_t i = 0; i < recs.size(); ++i) {
+    const auto attach = [&](size_t i, const FlatDirView& view) {
       Node& node = index.nodes_[i];
       node.cell = recs[i].cell;
       node.child[0] = recs[i].child[0];
       node.child[1] = recs[i].child[1];
       node.level = recs[i].level;
-      FlatDirView view;
-      KWSC_CHECK(pools.MakeView(recs[i], static_cast<int64_t>(i), &view,
-                                sink));
       node.dir.AttachFlat(view);
-    }
+    };
+    KWSC_CHECK(ValidateFlatTreeShallow(recs, pools, sink, attach));
     index.mmap_ = std::move(file);
     return index;
   }
@@ -247,6 +246,11 @@ class SpKwBoxIndex {
       return false;
     }
     bool ok = true;
+    if (root.options.k < 2 || root.options.k > kMaxQueryKeywords) {
+      sink("flat root k " + std::to_string(root.options.k) +
+           " outside [2, 8]");
+      ok = false;
+    }
     if (!reader.SlabOk<PointType>(root.points) ||
         root.points.count != root.num_objects) {
       sink("flat point slab out of bounds or cardinality mismatch");
@@ -261,7 +265,10 @@ class SpKwBoxIndex {
       return false;
     }
     const auto recs = reader.Slab<FlatNodeRec<Box<D, Scalar>>>(root.nodes);
-    if (!ValidateFlatTreeShallow(recs, pools, sink)) ok = false;
+    if (!ValidateFlatTreeShallow(recs, pools, sink,
+                                 [](size_t, const FlatDirView&) {})) {
+      ok = false;
+    }
     if (!ValidateFlatTreeDeep(recs, pools, sink)) ok = false;
     return ok;
   }
@@ -387,7 +394,7 @@ class SpKwBoxIndex {
     }
     if (node.IsLeaf()) return true;
 
-    uint32_t lids[8];
+    uint32_t lids[kMaxQueryKeywords];
     KeywordId small_keyword = 0;
     if (!node.dir.ResolveLarge(kws, lids, &small_keyword)) {
       if (options_.enable_materialized_lists) {

@@ -32,7 +32,7 @@ SpKwHsIndex::SpKwHsIndex(std::span<const PointType> points,
       points_(points.begin(), points.end()) {
   KWSC_CHECK(corpus != nullptr);
   KWSC_CHECK(points.size() == corpus->num_objects());
-  KWSC_CHECK(options_.k >= 2 && options_.k <= 8);
+  CheckKeywordArity(options_.k);
   if (points_.empty()) return;
 
   // Root cell: the data bounding box, slightly expanded (stands in for R^2;
@@ -155,7 +155,7 @@ std::vector<ObjectId> SpKwHsIndex::Query(const QueryType& q,
                                          QueryStats* stats,
                                          OpsBudget* budget) const {
   std::vector<ObjectId> out;
-  const std::vector<KeywordId> sorted =
+  const SortedKeywords sorted =
       CanonicalizeQueryKeywords(keywords, options_.k);
   if (nodes_.empty()) return out;
   OpsBudget unlimited;
@@ -172,7 +172,7 @@ bool SpKwHsIndex::ContainsAtLeast(const QueryType& q,
                                   std::span<const KeywordId> keywords,
                                   uint64_t t, QueryStats* stats) const {
   KWSC_CHECK(t >= 1);
-  const std::vector<KeywordId> sorted =
+  const SortedKeywords sorted =
       CanonicalizeQueryKeywords(keywords, options_.k);
   if (nodes_.empty()) return false;
   // Budget per Corollary 6 (d = 2 <= k - 1 regime plus the substrate's own
@@ -211,7 +211,7 @@ bool SpKwHsIndex::Visit(uint32_t node_index, const QueryType& q,
   }
   if (node.IsLeaf()) return true;
 
-  uint32_t lids[8];
+  uint32_t lids[kMaxQueryKeywords];
   KeywordId small_keyword = 0;
   if (!node.dir.ResolveLarge(kws, lids, &small_keyword)) {
     if (options_.enable_materialized_lists) {

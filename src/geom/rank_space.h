@@ -8,15 +8,29 @@
 // query rectangle converts to a rank rectangle in O(log N) per dimension
 // (binary search on the sorted coordinates) without changing its result set.
 //
+// The binary search runs inside one bucket of a radix table: per dimension,
+// max(1, n/8) equal-width buckets over [first, last sorted coordinate], and
+// for each bucket b the first rank whose coordinate falls in a bucket >= b.
+// Bucketing is monotone in the coordinate, so every lower and upper bound of
+// a value lies between its bucket's start and the next one's; the answer is
+// exact for every double, and a bucket holding all n points still searches
+// in O(log n). On typical data a search touches the 0.5 B/object table and
+// one short run of coordinates instead of ~log n cache lines of a 1 MB
+// array. Nothing compares >= or <= NaN, so a NaN bound converts to an
+// empty (inverted) rank range, as Box::Contains treats it.
+//
 // Storage is OwnedSpan-backed: the tables are owned vectors when built, and
 // zero-copy views into a mapped v2 flat container after AttachFlat (the
-// owning index keeps the mapping alive).
+// owning index keeps the mapping alive). The bucket tables are not
+// persisted; they are rebuilt in O(n) per dimension on construction and on
+// attach.
 
 #ifndef KWSC_GEOM_RANK_SPACE_H_
 #define KWSC_GEOM_RANK_SPACE_H_
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <span>
@@ -68,6 +82,7 @@ class RankSpace {
       }
       sorted_coords_[dim].Assign(std::move(sorted));
       ranks_[dim].Assign(std::move(ranks));
+      buckets_[dim] = Buckets(sorted_coords_[dim].view());
     }
     num_points_ = n;
   }
@@ -83,21 +98,28 @@ class RankSpace {
 
   /// Converts an original-space closed box to rank space. The result may be
   /// inverted (lo > hi) in a dimension when no coordinate falls inside, which
-  /// callers must treat as an empty query.
+  /// callers must treat as an empty query. A NaN bound admits no coordinate,
+  /// so it inverts its dimension too.
   RankBox ToRankBox(const Box<D, Scalar>& box) const {
     RankBox r;
     for (int dim = 0; dim < D; ++dim) {
-      const auto& coords = sorted_coords_[dim];
-      // First rank whose coordinate is >= box.lo[dim].
-      r.lo[dim] = static_cast<int64_t>(
-          std::lower_bound(coords.begin(), coords.end(), box.lo[dim]) -
-          coords.begin());
-      // Last rank whose coordinate is <= box.hi[dim].
-      r.hi[dim] = static_cast<int64_t>(
-                      std::upper_bound(coords.begin(), coords.end(),
-                                       box.hi[dim]) -
-                      coords.begin()) -
+      const Scalar* coords = sorted_coords_[dim].data();
+      const Buckets& buckets = buckets_[dim];
+      const Scalar lo = box.lo[dim];
+      const Scalar hi = box.hi[dim];
+      // First rank whose coordinate is >= lo (std::lower_bound).
+      uint32_t b = buckets.Of(lo);
+      r.lo[dim] = PartitionPoint(coords, buckets.start[b],
+                                 buckets.start[b + 1],
+                                 [lo](Scalar c) { return c < lo; });
+      // Last rank whose coordinate is <= hi (std::upper_bound, minus one).
+      b = buckets.Of(hi);
+      r.hi[dim] = PartitionPoint(coords, buckets.start[b],
+                                 buckets.start[b + 1],
+                                 [hi](Scalar c) { return !(hi < c); }) -
                   1;
+      if (std::isnan(lo)) r.lo[dim] = static_cast<int64_t>(num_points_);
+      if (std::isnan(hi)) r.hi[dim] = -1;
     }
     return r;
   }
@@ -105,7 +127,8 @@ class RankSpace {
   size_t MemoryBytes() const {
     size_t total = 0;
     for (int dim = 0; dim < D; ++dim) {
-      total += sorted_coords_[dim].MemoryBytes() + ranks_[dim].MemoryBytes();
+      total += sorted_coords_[dim].MemoryBytes() + ranks_[dim].MemoryBytes() +
+               VectorBytes(buckets_[dim].start);
     }
     return total;
   }
@@ -134,14 +157,83 @@ class RankSpace {
       }
       sorted_coords_[dim].Attach(reader.Slab<Scalar>(image.sorted_coords[dim]));
       ranks_[dim].Attach(reader.Slab<int64_t>(image.ranks[dim]));
+      buckets_[dim] = Buckets(sorted_coords_[dim].view());
     }
     num_points_ = num_points;
     return true;
   }
 
  private:
+  // The first index in [first, last) whose coordinate fails `before`, or
+  // `last` (std::partition_point). Each halving step selects with a
+  // conditional move: a bucket's few coordinates would mispredict a branch
+  // about every other step.
+  template <typename Before>
+  static int64_t PartitionPoint(const Scalar* coords, uint32_t first,
+                                uint32_t last, Before before) {
+    if (first == last) return first;
+    const Scalar* base = coords + first;
+    for (uint32_t n = last - first; n > 1;) {
+      const uint32_t half = n / 2;
+      base = before(base[half]) ? base + half : base;
+      n -= half;
+    }
+    return (base - coords) + (before(*base) ? 1 : 0);
+  }
+
+  // The radix table over one dimension's sorted coordinates.
+  struct Buckets {
+    // The table over no points: one empty bucket, so a default-constructed
+    // RankSpace converts every box to an empty range.
+    Buckets() : Buckets(std::span<const Scalar>()) {}
+
+    // One pass over `coords`, bucketed by the same Of() queries use. Any
+    // bytes — unsorted or NaN coordinates from a file included — leave
+    // `start` non-decreasing inside [0, n], so a search never leaves the
+    // slab; only sorted coordinates make its answer exact.
+    explicit Buckets(std::span<const Scalar> coords) {
+      const size_t n = coords.size();
+      const size_t count = std::max<size_t>(1, n / 8);
+      last = static_cast<uint32_t>(count - 1);
+      if (n > 0) {
+        const double width = static_cast<double>(coords.back()) -
+                             static_cast<double>(coords.front());
+        // An empty, infinite or NaN extent (or one so narrow that the scale
+        // overflows) leaves scale 0: one bucket holds every point.
+        if (width > 0 && std::isfinite(static_cast<double>(count) / width)) {
+          lo = static_cast<double>(coords.front());
+          scale = static_cast<double>(count) / width;
+        }
+      }
+      start.resize(count + 1);
+      uint32_t b = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t of = Of(coords[i]);
+        while (b <= of) start[b++] = static_cast<uint32_t>(i);
+      }
+      while (b <= last + 1) start[b++] = static_cast<uint32_t>(n);
+    }
+
+    // The bucket of `x`: (x - lo) * scale clamped to [0, last] and
+    // truncated, which is monotone in x. A NaN product (NaN x, or an
+    // infinite x when scale is 0) goes to bucket 0, never into the cast.
+    uint32_t Of(Scalar x) const {
+      const double t = (static_cast<double>(x) - lo) * scale;
+      if (!(t > 0)) return 0;
+      return t < last ? static_cast<uint32_t>(t) : last;
+    }
+
+    double lo = 0;
+    double scale = 0;
+    uint32_t last = 0;
+    // start[b]: the first rank whose coordinate has Of() >= b; last + 2
+    // entries, the final one n.
+    std::vector<uint32_t> start;
+  };
+
   std::array<OwnedSpan<Scalar>, D> sorted_coords_;
   std::array<OwnedSpan<int64_t>, D> ranks_;  // ranks_[dim][object id].
+  std::array<Buckets, D> buckets_;
   size_t num_points_ = 0;
 };
 

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -235,6 +236,38 @@ TYPED_TEST(DynamicIndexTest, CheckpointRoundTripsByteIdentically) {
   std::ostringstream again;
   loaded->SaveCheckpoint(&again);
   EXPECT_EQ(out.str(), again.str());
+}
+
+// A NaN box bound admits no object: the buffer scan (Box::Contains) and the
+// static levels (rank conversion) agree with the brute-force scan.
+TEST(DynamicIndexQueries, NaNBoundsMatchBruteForce) {
+  Rng rng(2027);
+  FrameworkOptions opt;
+  opt.k = 2;
+  DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/64);
+  std::vector<Point<2>> geoms;
+  std::vector<Document> docs;
+  for (int i = 0; i < 2000; ++i) {
+    geoms.push_back(OrpFamilyCase::MakeGeom(rng));
+    docs.push_back(RandomDoc(rng));
+  }
+  dynamic.InsertBatch(geoms, docs);
+  ASSERT_GT(dynamic.ActiveLevels(), 0u);
+  const Corpus corpus(docs);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int qi = 0; qi < 4; ++qi) {
+    const std::vector<KeywordId> kws = RandomQueryKeywords(rng);
+    for (int dim = 0; dim < 2; ++dim) {
+      for (const bool nan_lo : {true, false}) {
+        Box<2> q{{{0.0, 0.0}}, {{0.5, 1.0}}};
+        (nan_lo ? q.lo : q.hi)[dim] = nan;
+        EXPECT_EQ(Sorted(dynamic.Query(q, kws)),
+                  testing::BruteBox(std::span<const Point<2>>(geoms), corpus,
+                                    q, kws))
+            << dim << nan_lo;
+      }
+    }
+  }
 }
 
 // A checkpoint whose buffer names an object the registry does not hold is

@@ -416,23 +416,62 @@ std::string WithOutOfRangePoolId(SlabRef FlatDirPools::*pool) {
   return bytes;
 }
 
-void LoadOrpWithWorkloadCorpus(const std::string& bytes) {
+template <typename Index = OrpKwIndex<2>>
+void LoadWithWorkloadCorpus(const std::string& bytes) {
   Workload w = MakeWorkload(600, 61);
-  auto loaded = OrpKwIndex<2>::LoadFlat(MmapFile::FromBytes(bytes), &w.corpus);
+  auto loaded = Index::LoadFlat(MmapFile::FromBytes(bytes), &w.corpus);
 }
 
 // Queries index the rank points and the corpus with pool ids unchecked, so
 // the load refuses an out-of-range id in either object-id pool.
 TEST(FlatLayoutDeathTest, OutOfRangePivotIdAborts) {
   const std::string bytes = WithOutOfRangePoolId(&FlatDirPools::pivot_pool);
-  EXPECT_DEATH(LoadOrpWithWorkloadCorpus(bytes),
+  EXPECT_DEATH(LoadWithWorkloadCorpus(bytes),
                "flat pivot object id 600 at pool entry 0 out of range");
 }
 
 TEST(FlatLayoutDeathTest, OutOfRangeMaterializedIdAborts) {
   const std::string bytes = WithOutOfRangePoolId(&FlatDirPools::mat_obj_pool);
-  EXPECT_DEATH(LoadOrpWithWorkloadCorpus(bytes),
+  EXPECT_DEATH(LoadWithWorkloadCorpus(bytes),
                "flat materialized object id 600 at pool entry 0 out of range");
+}
+
+// A container whose persisted k is patched: queries size their keyword
+// scratch by the constructors' bound, so the load refuses any other k.
+template <typename Index>
+std::string WithPersistedK(int k) {
+  Workload w = MakeWorkload(600, 61);
+  const Index built(w.pts, &w.corpus, w.opt);
+  std::string bytes = SaveFlatToBytes(built);
+  FlatHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  typename Index::FlatRoot root;
+  std::memcpy(&root, bytes.data() + header.root_offset, sizeof(root));
+  root.options.k = k;
+  std::memcpy(bytes.data() + header.root_offset, &root, sizeof(root));
+  const audit::AuditReport report =
+      audit::AuditFlatFile<Index>(*MmapFile::FromBytes(bytes));
+  EXPECT_TRUE(report.Has(audit::AuditCheck::kFlatLayout))
+      << report.ToString();
+  return bytes;
+}
+
+TEST(FlatLayoutDeathTest, PersistedKAboveEightAborts) {
+  const std::string bytes = WithPersistedK<OrpKwIndex<2>>(9);
+  EXPECT_DEATH(LoadWithWorkloadCorpus(bytes),
+               "k must be in \\[2, 8\\], got 9");
+}
+
+TEST(FlatLayoutDeathTest, PersistedKZeroAborts) {
+  const std::string bytes = WithPersistedK<OrpKwIndex<2>>(0);
+  EXPECT_DEATH(LoadWithWorkloadCorpus(bytes),
+               "k must be in \\[2, 8\\], got 0");
+}
+
+TEST(FlatLayoutDeathTest, SpKwBoxPersistedKAboveEightAborts) {
+  const std::string bytes = WithPersistedK<SpKwBoxIndex<2>>(9);
+  EXPECT_DEATH(LoadWithWorkloadCorpus<SpKwBoxIndex<2>>(bytes),
+               "k must be in \\[2, 8\\], got 9");
 }
 
 // ---- Intersection kernels ----

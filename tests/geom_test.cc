@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <sstream>
+#include <vector>
 
+#include "common/flat_arena.h"
 #include "common/random.h"
 #include "geom/box.h"
 #include "geom/halfspace.h"
@@ -14,6 +21,7 @@
 #include "geom/point.h"
 #include "geom/polygon2d.h"
 #include "geom/rank_space.h"
+#include "workload/generator.h"
 
 namespace kwsc {
 namespace {
@@ -219,6 +227,188 @@ TEST(RankSpace, EmptyRangeYieldsInvertedBox) {
   RankSpace<1> rs{std::span<const Point<1>>(pts)};
   auto rq = rs.ToRankBox({{{2}}, {{4}}});  // No coordinate inside.
   EXPECT_FALSE(rq.Valid());
+}
+
+// ---- ToRankBox's bucket table against whole-array binary search ----
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// The same tables reached through a flat container, as LoadFlat does.
+template <int D>
+RankSpace<D> AttachedCopy(const RankSpace<D>& built, size_t n,
+                          std::shared_ptr<const MmapFile>* file) {
+  const uint32_t tag = FlatFamilyTag('R', 'A', 'N', 'K');
+  FlatArenaWriter writer(tag);
+  writer.Root(built.SaveFlatSlabs(&writer));
+  std::ostringstream out;
+  writer.WriteTo(&out);
+  *file = MmapFile::FromBytes(out.str());
+  const FlatArenaReader reader(**file, 0, tag);
+  RankSpace<D> attached;
+  EXPECT_TRUE(attached.AttachFlat(
+      reader, reader.Root<typename RankSpace<D>::FlatImage>(), n,
+      AbortingFlatErrorSink()));
+  return attached;
+}
+
+// Every coordinate of the sorted `coords`, its neighbours one ulp away, the
+// midpoints between consecutive coordinates, and the extreme doubles.
+std::vector<double> ProbeValues(const std::vector<double>& coords) {
+  std::vector<double> probes = {-kInf, kInf,   -DBL_MAX, DBL_MAX,
+                                -0.0,  0.0,    -1.0,     1.0,
+                                2.0,   1e-300, -1e-300,  DBL_MIN};
+  for (size_t i = 0; i < coords.size(); ++i) {
+    const double c = coords[i];
+    probes.push_back(c);
+    probes.push_back(std::nextafter(c, -kInf));
+    probes.push_back(std::nextafter(c, kInf));
+    if (i + 1 < coords.size() && std::isfinite(c) &&
+        std::isfinite(coords[i + 1])) {
+      probes.push_back(c + (coords[i + 1] - c) / 2);
+    }
+  }
+  return probes;
+}
+
+// For every probe value x in every dimension, the rank range of [x, x]
+// equals std::lower_bound/upper_bound over the whole sorted coordinate
+// array, and a NaN bound gives an empty range. Checks the built tables and
+// the same tables attached from a flat container.
+template <int D>
+void ExpectRankBoxesMatchBinarySearch(const std::vector<Point<D>>& pts) {
+  const RankSpace<D> built{std::span<const Point<D>>(pts)};
+  std::shared_ptr<const MmapFile> file;
+  const RankSpace<D> attached = AttachedCopy(built, pts.size(), &file);
+  const int64_t n = static_cast<int64_t>(pts.size());
+  Box<D> open;  // [-inf, +inf] in every dimension: ranks [0, n - 1].
+  for (int dim = 0; dim < D; ++dim) {
+    open.lo[dim] = -kInf;
+    open.hi[dim] = kInf;
+  }
+  for (const RankSpace<D>* rs : {&built, &attached}) {
+    for (int dim = 0; dim < D; ++dim) {
+      std::vector<double> coords;
+      for (const Point<D>& p : pts) coords.push_back(p[dim]);
+      std::sort(coords.begin(), coords.end());
+      for (const double x : ProbeValues(coords)) {
+        const int64_t lower =
+            std::lower_bound(coords.begin(), coords.end(), x) -
+            coords.begin();
+        const int64_t upper =
+            std::upper_bound(coords.begin(), coords.end(), x) -
+            coords.begin();
+        Box<D> q = open;
+        q.lo[dim] = x;
+        q.hi[dim] = x;
+        const auto rq = rs->ToRankBox(q);
+        EXPECT_EQ(rq.lo[dim], lower) << "x=" << x << " dim " << dim;
+        EXPECT_EQ(rq.hi[dim], upper - 1) << "x=" << x << " dim " << dim;
+        for (int other = 0; other < D; ++other) {
+          if (other == dim) continue;
+          EXPECT_EQ(rq.lo[other], 0);
+          EXPECT_EQ(rq.hi[other], n - 1);
+        }
+      }
+      // NaN in either bound, with the other bound open or equal to a
+      // coordinate, admits nothing.
+      for (const double other_bound : {kInf, coords.empty() ? 0.0 : coords[0]}) {
+        Box<D> q = open;
+        q.lo[dim] = kNaN;
+        q.hi[dim] = other_bound;
+        auto rq = rs->ToRankBox(q);
+        EXPECT_GT(rq.lo[dim], rq.hi[dim]) << "NaN lo, dim " << dim;
+        EXPECT_FALSE(rq.Valid());
+        q.lo[dim] = -other_bound;
+        q.hi[dim] = kNaN;
+        rq = rs->ToRankBox(q);
+        EXPECT_GT(rq.lo[dim], rq.hi[dim]) << "NaN hi, dim " << dim;
+        EXPECT_FALSE(rq.Valid());
+      }
+    }
+  }
+  // The attached tables view the mapped coordinates, so the heap they are
+  // charged for is the bucket tables alone: 4 bytes per bucket start.
+  EXPECT_GE(attached.MemoryBytes(),
+            D * sizeof(uint32_t) * (std::max<size_t>(1, pts.size() / 8) + 1));
+}
+
+template <int D>
+std::vector<Point<D>> PointsFromCoords(const std::vector<double>& values) {
+  std::vector<Point<D>> pts(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    for (int dim = 0; dim < D; ++dim) {
+      // Each dimension sees the values in another order.
+      pts[i][dim] = values[(i * (dim + 1) + dim) % values.size()];
+    }
+  }
+  return pts;
+}
+
+TEST(RankSpaceBuckets, SmallCounts) {
+  for (const size_t n : {0, 1, 7, 8, 9, 17}) {
+    SCOPED_TRACE(n);
+    std::vector<double> values(n);
+    for (size_t i = 0; i < n; ++i) values[i] = 0.25 * double(i % 5) - 0.1;
+    ExpectRankBoxesMatchBinarySearch<1>(PointsFromCoords<1>(values));
+    ExpectRankBoxesMatchBinarySearch<2>(PointsFromCoords<2>(values));
+  }
+}
+
+TEST(RankSpaceBuckets, AllEqualCoordinates) {
+  const std::vector<double> values(100, 0.5);
+  ExpectRankBoxesMatchBinarySearch<1>(PointsFromCoords<1>(values));
+  ExpectRankBoxesMatchBinarySearch<2>(PointsFromCoords<2>(values));
+}
+
+TEST(RankSpaceBuckets, DenseClusterAndOneFarOutlier) {
+  // n - 1 points share the first bucket; the search there is a plain binary
+  // search over them.
+  std::vector<double> values;
+  for (int i = 0; i < 199; ++i) values.push_back(0.5 + 1e-12 * i);
+  values.push_back(1e6);
+  ExpectRankBoxesMatchBinarySearch<1>(PointsFromCoords<1>(values));
+  ExpectRankBoxesMatchBinarySearch<2>(PointsFromCoords<2>(values));
+}
+
+TEST(RankSpaceBuckets, PilesAtBothEnds) {
+  // The generators clamp to [0, 1], which piles points on both ends.
+  Rng rng(71);
+  std::vector<double> values;
+  for (int i = 0; i < 300; ++i) {
+    values.push_back(std::clamp(rng.UniformDouble(-0.5, 1.5), 0.0, 1.0));
+  }
+  ExpectRankBoxesMatchBinarySearch<1>(PointsFromCoords<1>(values));
+  ExpectRankBoxesMatchBinarySearch<2>(PointsFromCoords<2>(values));
+}
+
+TEST(RankSpaceBuckets, InfinitiesExtremesAndSignedZeros) {
+  const std::vector<double> extremes = {-kInf, kInf, -DBL_MAX, DBL_MAX,
+                                        -0.0,  0.0,  -DBL_MIN, 1e-310};
+  std::vector<double> values = extremes;
+  for (int i = 0; i < 40; ++i) values.push_back(0.01 * i);
+  ExpectRankBoxesMatchBinarySearch<1>(PointsFromCoords<1>(values));
+  ExpectRankBoxesMatchBinarySearch<2>(PointsFromCoords<2>(values));
+  // Extremes alone, and the finite extremes alone (their width overflows).
+  ExpectRankBoxesMatchBinarySearch<2>(PointsFromCoords<2>(extremes));
+  ExpectRankBoxesMatchBinarySearch<2>(
+      PointsFromCoords<2>({-DBL_MAX, DBL_MAX, 0.0, 1.0, -1.0}));
+  ExpectRankBoxesMatchBinarySearch<2>(PointsFromCoords<2>({-0.0, 0.0, -0.0}));
+}
+
+TEST(RankSpaceBuckets, RandomClusteredPoints) {
+  Rng rng(73);
+  for (int trial = 0; trial < 20; ++trial) {
+    const size_t n = 1 + rng.NextBounded(400);
+    SCOPED_TRACE(n);
+    const auto pts = GeneratePoints<2>(n, PointDistribution::kClustered, &rng,
+                                       -rng.UniformDouble(0, 1e3),
+                                       rng.UniformDouble(0, 1e3));
+    ExpectRankBoxesMatchBinarySearch<2>(pts);
+    std::vector<Point<1>> line(n);
+    for (size_t i = 0; i < n; ++i) line[i][0] = pts[i][1];
+    ExpectRankBoxesMatchBinarySearch<1>(line);
+  }
 }
 
 }  // namespace

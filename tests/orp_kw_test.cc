@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
+#include "common/flat_arena.h"
 #include "common/random.h"
 #include "core/orp_kw.h"
 #include "test_util.h"
@@ -148,6 +150,36 @@ TEST(OrpKw, EmptyQueryRegionsReturnNothing) {
   EXPECT_TRUE(index.Query({{{5, 5}}, {{6, 6}}}, kws).empty());
   // An inverted (empty) box.
   EXPECT_TRUE(index.Query({{{0.9, 0.9}}, {{0.1, 0.1}}}, kws).empty());
+}
+
+// Box::Contains admits no point against a NaN bound, and so does every
+// index: the built and the flat-loaded ORP-KW answer like the scan.
+TEST(OrpKw, NaNBoundsMatchBruteForce) {
+  Rng rng(15);
+  CorpusSpec spec;
+  spec.num_objects = 2000;
+  spec.vocab_size = 30;
+  Corpus corpus = GenerateCorpus(spec, &rng);
+  auto pts = GeneratePoints<2>(2000, PointDistribution::kUniform, &rng);
+  FrameworkOptions opt;
+  opt.k = 2;
+  const OrpKwIndex<2> built(pts, &corpus, opt);
+  const OrpKwIndex<2> loaded = OrpKwIndex<2>::LoadFlat(
+      MmapFile::FromBytes(testing::SaveFlatToBytes(built)), &corpus);
+  const std::vector<KeywordId> kws = {0, 1};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // With the NaN bound read as unbounded, these boxes would hold objects.
+  ASSERT_FALSE(built.Query(Box<2>::Everything(), kws).empty());
+  for (int dim = 0; dim < 2; ++dim) {
+    for (const bool nan_lo : {true, false}) {
+      Box<2> q{{{0.0, 0.0}}, {{0.5, 1.0}}};
+      (nan_lo ? q.lo : q.hi)[dim] = nan;
+      const auto expected =
+          BruteBox(std::span<const Point<2>>(pts), corpus, q, kws);
+      EXPECT_EQ(Sorted(built.Query(q, kws)), expected) << dim << nan_lo;
+      EXPECT_EQ(Sorted(loaded.Query(q, kws)), expected) << dim << nan_lo;
+    }
+  }
 }
 
 TEST(OrpKw, WholeSpaceQueryEqualsPureKeywordSearch) {

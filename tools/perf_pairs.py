@@ -5,7 +5,7 @@
 Run from anywhere inside a checkout:
 
     python3 tools/perf_pairs.py --parent HEAD~1 --workload dynamic_mixed \
-        --pairs 10 --seconds 10 --seed 1
+        --pairs 10 --seconds 10 --seed 1 [--trace 1]
 
 The parent revision is exported with `git archive` into a temporary
 directory (under $TMPDIR when set) and removed afterwards. Each side is
@@ -18,9 +18,12 @@ The report gives, for every end-to-end metric BENCHMARK.json declares, each
 side's median and quartiles, the change/parent ratio of the medians, how
 many pairs the change won (by the metric's `better` direction), and whether
 the median moved by more than the parent's interquartile range. A median
-worse than the metric's bound is marked WORSE. Then it says whether the two
-sides' `counts` lines agree and lists the keys that differ, and how many
-operations failed on each side. Exit status: 0, or 1 when a run failed.
+worse than the metric's bound is marked WORSE. With --trace 1 both sides
+run traced and the rows are the per-layer metrics instead (those the
+workload reports; they have no bound). Then it says whether the two sides'
+`counts` lines agree and lists the keys that differ, names any key whose
+value varied between the runs of one side, and gives how many operations
+failed on each side. Exit status: 0, or 1 when a run failed.
 """
 
 import argparse
@@ -75,6 +78,11 @@ def parse(output):
     return counts, result
 
 
+def differing_keys(a, b):
+    """The keys whose values differ between two counts dicts."""
+    return {k for k in set(a) | set(b) if a.get(k) != b.get(k)}
+
+
 def quartiles(values):
     if len(values) < 2:
         return values[0], values[0]
@@ -90,10 +98,12 @@ def main():
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--trace", type=int, choices=[0, 1], default=0,
+                        help="1: run traced, report the per-layer metrics")
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
+        metrics = json.load(f)["per_layer" if args.trace else "end_to_end"]
 
     workdir = tempfile.mkdtemp(prefix="perf_pairs_")
     try:
@@ -101,6 +111,7 @@ def main():
                  "change": runner(ROOT, "change")}
         values = {side: {m["name"]: [] for m in metrics} for side in sides}
         counts = {side: None for side in sides}
+        varying = {side: set() for side in sides}
         failed = {side: 0 for side in sides}
         status = 0
         for pair in range(args.pairs):
@@ -109,13 +120,15 @@ def main():
             results = {}
             for side in order:
                 code, output = sides[side].run(args.workload, args.seed,
-                                               args.seconds, 0)
+                                               args.seconds, args.trace)
                 run_counts, result = parse(output)
-                if code != 0 or result is None:
+                if code != 0 or result is None or run_counts is None:
                     print("pair %d: %s run exited %d" % (pair, side, code))
                     status = 1
                     continue
-                counts[side] = counts[side] or run_counts
+                if counts[side] is None:
+                    counts[side] = run_counts
+                varying[side] |= differing_keys(counts[side], run_counts)
                 failed[side] += result.get("failed", 0)
                 results[side] = result["metrics"]
             if len(results) == len(sides):  # Keep the pairs aligned.
@@ -128,16 +141,18 @@ def main():
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    print("%s, seed %d, %d pairs of %g s runs, parent %s against this tree"
-          % (args.workload, args.seed, args.pairs, args.seconds, args.parent))
-    print("%-13s %28s %28s %7s %6s %8s" % (
-        "metric", "parent median [q1, q3]", "change median [q1, q3]",
+    print("%s, seed %d, %d pairs of %g s %sruns, parent %s against this tree"
+          % (args.workload, args.seed, args.pairs, args.seconds,
+             "traced " if args.trace else "", args.parent))
+    width = max(len(m["name"]) for m in metrics)
+    print("%-*s %28s %28s %7s %6s %8s" % (
+        width, "metric", "parent median [q1, q3]", "change median [q1, q3]",
         "ratio", "wins", "gain>IQR"))
     for m in metrics:
         name = m["name"]
         parent, change = values["parent"][name], values["change"][name]
         pairs = list(zip(parent, change))
-        if not pairs:
+        if not any(parent + change):  # Not run, or not this workload's.
             continue
         lower = m["better"] == "lower"
         wins = sum(1 for p, c in pairs if (c < p if lower else c > p))
@@ -146,26 +161,29 @@ def main():
         c1, c3 = quartiles(change)
         ratio = cm / pm if pm else float("nan")
         gain = (pm - cm) if lower else (cm - pm)
-        worse = (ratio > 1 + m["bound"]) if lower else (
-            ratio < 1 - m["bound"])
-        print("%-13s %10.4g [%7.4g, %7.4g] %10.4g [%7.4g, %7.4g] %7.3f "
+        bound = m.get("bound", float("inf"))
+        worse = (ratio > 1 + bound) if lower else (ratio < 1 - bound)
+        print("%-*s %10.4g [%7.4g, %7.4g] %10.4g [%7.4g, %7.4g] %7.3f "
               "%3d/%-2d %8s%s" % (
-                  name, pm, p1, p3, cm, c1, c3, ratio, wins, len(pairs),
+                  width, name, pm, p1, p3, cm, c1, c3, ratio, wins,
+                  len(pairs),
                   "yes" if gain > p3 - p1 else "no",
-                  "  WORSE (bound %g)" % m["bound"] if worse else ""))
+                  "  WORSE (bound %g)" % bound if worse else ""))
     print("failed operations: parent %d, change %d"
           % (failed["parent"], failed["change"]))
     if counts["parent"] is None or counts["change"] is None:
         print("counts: missing on one side")
         return 1
-    keys = sorted(set(counts["parent"]) | set(counts["change"]))
-    differ = [k for k in keys
-              if counts["parent"].get(k) != counts["change"].get(k)]
+    differ = sorted(differing_keys(counts["parent"], counts["change"]))
     if not differ:
         print("counts: identical")
     for k in differ:
         print("counts differ: %s parent %s change %s"
               % (k, counts["parent"].get(k), counts["change"].get(k)))
+    for side in sides:
+        if varying[side]:
+            print("counts vary between the %s runs: %s"
+                  % (side, ", ".join(sorted(varying[side]))))
     return status
 
 
