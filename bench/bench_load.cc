@@ -9,9 +9,9 @@
 //   * the RSS delta of the load (sampled before AND after — the flat path
 //     should charge almost nothing up front, faulting pages in on demand),
 //   * the file size (the space axis of the space<->latency curve),
-//   * query latency on the pointer-built vs the flat-loaded index (the
-//     latency axis: the gap a single in-memory representation would close),
-//     and
+//   * query latency on the built index (its container on the heap) vs the
+//     flat-loaded one (the container mapped) — one representation, so the
+//     gap is placement and run-to-run spread — and
 //   * full query-result equivalence between the built and the flat-loaded
 //     index, plus scalar-vs-AVX2 posting-list intersection equivalence. Any
 //     mismatch hard-fails the bench.
@@ -141,7 +141,7 @@ LoadSample MeasureOne(uint32_t n_objects, bench::JsonReport* report,
   CheckIntersectKernels(corpus, &rng);
 
   // The latency axis of the space<->latency curve: the same batch on the
-  // pointer-built and the mmap-backed index.
+  // built (heap container) and the mmap-backed index.
   sample.built_query_us = bench::MedianMicros([&] { RunBatch(built, batch); });
   sample.flat_query_us =
       bench::MedianMicros([&] { RunBatch(flat_loaded, batch); });

@@ -79,23 +79,6 @@ struct AuditAccess {
     return tree.root_;
   }
 
-  // NodeDirectory internals (the public API exposes lookups, not iteration).
-
-  template <typename Dir>
-  static const auto& Large(const Dir& dir) {
-    return dir.large_;
-  }
-
-  template <typename Dir>
-  static const auto& ChildTuples(const Dir& dir) {
-    return dir.child_tuples_;
-  }
-
-  template <typename Dir>
-  static const auto& Materialized(const Dir& dir) {
-    return dir.materialized_;
-  }
-
   // ---- Mutable views (corruption-injection tests only) ----
 
   template <typename Index>
@@ -103,24 +86,11 @@ struct AuditAccess {
     return index->nodes_;
   }
 
+  /// A NodeDirectory's view: tests corrupt a directory by re-pointing its
+  /// spans at arrays they own.
   template <typename Dir>
-  static auto& MutableWeight(Dir* dir) {
-    return dir->weight_;
-  }
-
-  template <typename Dir>
-  static auto& MutablePivots(Dir* dir) {
-    return dir->pivots_;
-  }
-
-  template <typename Dir>
-  static auto& MutableMaterialized(Dir* dir) {
-    return dir->materialized_;
-  }
-
-  template <typename Dir>
-  static auto& MutableChildTuples(Dir* dir) {
-    return dir->child_tuples_;
+  static auto& MutableView(Dir* dir) {
+    return dir->view_;
   }
 
   // ---- Detection probes (core/contracts.h) ----

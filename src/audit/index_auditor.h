@@ -172,8 +172,7 @@ inline std::vector<KeywordId> CheckNodeDirectory(
 
   // Materialized lists: exactly the keywords that are inherited, occur below
   // u, and fall short of the threshold; each list is the non-pivot carriers.
-  // All reads go through the mode-agnostic directory API so a flat-loaded
-  // index audits exactly like the pointer-built original.
+  // All reads go through the directory's lookup API.
   if (options.enable_materialized_lists) {
     FlatHashMap<KeywordId, std::vector<ObjectId>> expected;
     const std::span<const ObjectId> pivots = dir.pivots();
@@ -212,7 +211,7 @@ inline std::vector<KeywordId> CheckNodeDirectory(
                     w, have.size(), want.size());
       }
     });
-    dir.ForEachMaterializedSorted(
+    dir.ForEachMaterialized(
         [&](KeywordId w, std::span<const ObjectId> /*list*/) {
           if (expected.Find(w) == nullptr) {
             report->Add(AuditCheck::kDirectoryMaterialized, node,
@@ -417,7 +416,7 @@ class FrameworkTreeAuditor {
                      "pivot %u lies outside its node's cell", e);
       }
     }
-    node.dir.ForEachMaterializedSorted(
+    node.dir.ForEachMaterialized(
         [this](KeywordId, std::span<const ObjectId> list) {
           materialized_total_ += list.size();
         });

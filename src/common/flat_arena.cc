@@ -162,6 +162,22 @@ void FlatArenaWriter::WriteTo(std::ostream* out) {
   out->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+std::shared_ptr<const MmapFile> FlatArenaWriter::ToFile() {
+  Finish();
+  return MmapFile::FromBytes(std::move(buf_));
+}
+
+void WriteFlatContainer(std::span<const std::byte> container,
+                        uint32_t family_tag, std::ostream* out) {
+  KWSC_CHECK(container.size() >= sizeof(FlatHeader));
+  FlatHeader header;
+  std::memcpy(&header, container.data(), sizeof(header));
+  header.family_tag = family_tag;
+  out->write(reinterpret_cast<const char*>(&header), sizeof(header));
+  out->write(reinterpret_cast<const char*>(container.data()) + sizeof(header),
+             static_cast<std::streamsize>(container.size() - sizeof(header)));
+}
+
 bool FlatArenaReader::Validate(const MmapFile& file, uint64_t offset,
                                uint32_t expected_tag,
                                const FlatErrorSink& sink) {

@@ -200,6 +200,10 @@ class FlatArenaWriter {
   /// Finalizes and streams the container to `out`.
   void WriteTo(std::ostream* out);
 
+  /// Finalizes into an immutable 64-byte-aligned heap buffer: the container
+  /// a freshly built index attaches.
+  std::shared_ptr<const MmapFile> ToFile();
+
  private:
   void Align() {
     const size_t rem = buf_.size() % kFlatAlignment;
@@ -287,39 +291,18 @@ class FlatArenaReader {
   uint64_t root_size_ = 0;
 };
 
-/// A container that owns a vector in the pointer-built path and merely views
-/// a mapped slab in the flat path. Read-side API mirrors a const vector, so
-/// query code is mode-agnostic. Moves are safe (vector moves keep the heap
-/// buffer, so a view into the owned buffer survives); copies re-point the
-/// view when it aliased the owned buffer.
+/// Streams `container`, one whole flat container, with its header's family
+/// tag set to `family_tag`; every other byte is written verbatim. A wrapper
+/// family saves its engine's container this way under its own tag.
+void WriteFlatContainer(std::span<const std::byte> container,
+                        uint32_t family_tag, std::ostream* out);
+
+/// A typed view of one slab in a container its holder keeps alive, read
+/// like a const vector; view() hands the span to a writer.
 template <typename T>
-class OwnedSpan {
+class SlabSpan {
  public:
-  OwnedSpan() = default;
-
-  OwnedSpan(OwnedSpan&&) noexcept = default;
-  OwnedSpan& operator=(OwnedSpan&&) noexcept = default;
-  OwnedSpan(const OwnedSpan& other) { *this = other; }
-  OwnedSpan& operator=(const OwnedSpan& other) {
-    if (this == &other) return *this;
-    owned_ = other.owned_;
-    view_ = other.owns() ? std::span<const T>(owned_) : other.view_;
-    return *this;
-  }
-
-  /// Takes ownership of `v` (pointer-built path).
-  void Assign(std::vector<T> v) {
-    owned_ = std::move(v);
-    view_ = owned_;
-  }
-
-  /// Views externally-owned bytes (flat path; the index keeps the backing
-  /// MmapFile alive).
-  void Attach(std::span<const T> s) {
-    owned_.clear();
-    owned_.shrink_to_fit();
-    view_ = s;
-  }
+  void Attach(std::span<const T> s) { view_ = s; }
 
   size_t size() const { return view_.size(); }
   bool empty() const { return view_.empty(); }
@@ -331,6 +314,45 @@ class OwnedSpan {
   auto end() const { return view_.end(); }
   std::span<const T> view() const { return view_; }
 
+ private:
+  std::span<const T> view_;
+};
+
+/// A SlabSpan that owns a vector in the pointer-built path and merely views
+/// a mapped slab in the flat path, so query code is mode-agnostic. Moves
+/// are safe (vector moves keep the heap buffer, so a view into the owned
+/// buffer survives); copies re-point the view when it aliased the owned
+/// buffer.
+template <typename T>
+class OwnedSpan : public SlabSpan<T> {
+ public:
+  OwnedSpan() = default;
+
+  OwnedSpan(OwnedSpan&&) noexcept = default;
+  OwnedSpan& operator=(OwnedSpan&&) noexcept = default;
+  OwnedSpan(const OwnedSpan& other) { *this = other; }
+  OwnedSpan& operator=(const OwnedSpan& other) {
+    if (this == &other) return *this;
+    owned_ = other.owned_;
+    SlabSpan<T>::Attach(other.owns() ? std::span<const T>(owned_)
+                                     : other.view());
+    return *this;
+  }
+
+  /// Takes ownership of `v` (pointer-built path).
+  void Assign(std::vector<T> v) {
+    owned_ = std::move(v);
+    SlabSpan<T>::Attach(owned_);
+  }
+
+  /// Views externally-owned bytes (flat path; the index keeps the backing
+  /// MmapFile alive).
+  void Attach(std::span<const T> s) {
+    owned_.clear();
+    owned_.shrink_to_fit();
+    SlabSpan<T>::Attach(s);
+  }
+
   bool owns() const { return !owned_.empty(); }
 
   /// Heap bytes charged to this container (0 when viewing mapped bytes —
@@ -339,7 +361,6 @@ class OwnedSpan {
 
  private:
   std::vector<T> owned_;
-  std::span<const T> view_;
 };
 
 }  // namespace kwsc

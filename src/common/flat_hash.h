@@ -2,12 +2,13 @@
 //
 // Minimal open-addressing hash containers for integral keys.
 //
-// The paper's secondary structures T_u assume perfect hashing so that "is
-// keyword w large at u" and "is this k-tuple non-empty" resolve in O(1).
-// We substitute linear-probing tables with power-of-two capacities and a
-// strong 64-bit mixer, which gives O(1) expected probes (see DESIGN.md,
-// substitution 4). The containers are insert-only — the indexes are static —
-// which keeps the implementation free of tombstones.
+// Linear-probing tables with power-of-two capacities and a strong 64-bit
+// mixer: O(1) expected probes. They serve build-time scratch (the
+// directory builder's keyword counts and tuple deduplication), the
+// vocabulary, the workload generator and the baselines; the stored
+// secondary structures T_u are sorted arrays instead (DESIGN.md,
+// substitutions 2 and 4). The containers are insert-only, which keeps the
+// implementation free of tombstones.
 
 #ifndef KWSC_COMMON_FLAT_HASH_H_
 #define KWSC_COMMON_FLAT_HASH_H_
@@ -42,55 +43,20 @@ uint64_t KeyBits(Key key) {
       static_cast<std::make_unsigned_t<Key>>(key));
 }
 
-}  // namespace internal_flat_hash
-
-/// Insert-only hash map from an integral key to a value.
-template <typename Key, typename Value>
-class FlatHashMap {
+/// The linear-probing table both containers are: a slot is the key itself
+/// (set) or a key-value pair (map), and a byte per slot marks it used.
+template <typename Key, typename Slot>
+class Table {
  public:
-  FlatHashMap() = default;
-
   /// Pre-sizes the table for `n` insertions (optional but avoids rehashing).
   void Reserve(size_t n) {
-    size_t cap = internal_flat_hash::TableCapacityFor(n);
+    const size_t cap = TableCapacityFor(n);
     if (cap > slots_.size()) Rehash(cap);
   }
 
-  /// Inserts `key` if absent and returns a reference to its value slot.
-  Value& operator[](Key key) {
-    if (KWSC_PREDICT_FALSE(slots_.empty() || 2 * (size_ + 1) > slots_.size())) {
-      Rehash(internal_flat_hash::TableCapacityFor(size_ + 1));
-    }
-    size_t i = ProbeStart(key);
-    while (used_[i]) {
-      if (slots_[i].first == key) return slots_[i].second;
-      i = (i + 1) & mask_;
-    }
-    used_[i] = 1;
-    slots_[i] = {key, Value{}};
-    ++size_;
-    return slots_[i].second;
-  }
-
-  /// Returns a pointer to the value for `key`, or nullptr if absent.
-  const Value* Find(Key key) const {
-    if (slots_.empty()) return nullptr;
-    size_t i = ProbeStart(key);
-    while (used_[i]) {
-      if (slots_[i].first == key) return &slots_[i].second;
-      i = (i + 1) & mask_;
-    }
-    return nullptr;
-  }
-
-  Value* Find(Key key) {
-    return const_cast<Value*>(static_cast<const FlatHashMap*>(this)->Find(key));
-  }
-
-  bool Contains(Key key) const { return Find(key) != nullptr; }
-
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  bool Contains(Key key) const { return FindSlot(key) != nullptr; }
 
   /// Removes all entries. Keeps the allocated capacity when occupancy is
   /// reasonable, but shrinks the probe range when the last batch filled less
@@ -100,7 +66,7 @@ class FlatHashMap {
   /// later Clear and ForEach pay O(max capacity) instead of O(batch).
   void Clear() {
     if (slots_.size() > 64 && 8 * size_ < slots_.size()) {
-      const size_t cap = internal_flat_hash::TableCapacityFor(2 * size_);
+      const size_t cap = TableCapacityFor(2 * size_);
       slots_.assign(cap, {});
       used_.assign(cap, 0);
       mask_ = cap - 1;
@@ -111,126 +77,127 @@ class FlatHashMap {
     size_ = 0;
   }
 
-  /// Invokes `fn(key, value)` for every entry, in unspecified order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      if (used_[i]) fn(slots_[i].first, slots_[i].second);
-    }
-  }
-
   /// Heap bytes held by the table (for the space benchmarks).
   size_t MemoryBytes() const {
-    return slots_.capacity() * sizeof(std::pair<Key, Value>) + used_.capacity();
+    return slots_.capacity() * sizeof(Slot) + used_.capacity();
   }
 
- private:
-  size_t ProbeStart(Key key) const {
-    return static_cast<size_t>(Mix64(internal_flat_hash::KeyBits(key))) &
-           mask_;
+ protected:
+  static const Key& KeyOf(const Slot& slot) {
+    if constexpr (std::is_same_v<Slot, Key>) {
+      return slot;
+    } else {
+      return slot.first;
+    }
   }
 
-  void Rehash(size_t new_cap) {
-    std::vector<std::pair<Key, Value>> old_slots = std::move(slots_);
-    std::vector<uint8_t> old_used = std::move(used_);
-    slots_.assign(new_cap, {});
-    used_.assign(new_cap, 0);
-    mask_ = new_cap - 1;
-    size_ = 0;
-    for (size_t i = 0; i < old_slots.size(); ++i) {
-      if (!old_used[i]) continue;
-      size_t j = ProbeStart(old_slots[i].first);
-      while (used_[j]) j = (j + 1) & mask_;
-      used_[j] = 1;
-      slots_[j] = std::move(old_slots[i]);
+  /// The slot holding `key`, inserting a fresh one (a map's value
+  /// value-initialized) when absent; `*inserted` says which.
+  Slot& InsertSlot(Key key, bool* inserted) {
+    if (KWSC_PREDICT_FALSE(slots_.empty() || 2 * (size_ + 1) > slots_.size())) {
+      Rehash(TableCapacityFor(size_ + 1));
+    }
+    const size_t i = Probe(key);
+    *inserted = !used_[i];
+    if (*inserted) {
+      used_[i] = 1;
+      if constexpr (std::is_same_v<Slot, Key>) {
+        slots_[i] = key;
+      } else {
+        slots_[i] = Slot{key, {}};
+      }
       ++size_;
     }
+    return slots_[i];
   }
 
-  std::vector<std::pair<Key, Value>> slots_;
-  std::vector<uint8_t> used_;
-  size_t mask_ = 0;
-  size_t size_ = 0;
-};
-
-/// Insert-only hash set of integral keys.
-template <typename Key>
-class FlatHashSet {
- public:
-  FlatHashSet() = default;
-
-  void Reserve(size_t n) {
-    size_t cap = internal_flat_hash::TableCapacityFor(n);
-    if (cap > slots_.size()) Rehash(cap);
+  /// The slot holding `key`, or nullptr.
+  const Slot* FindSlot(Key key) const {
+    if (slots_.empty()) return nullptr;
+    const size_t i = Probe(key);
+    return used_[i] ? &slots_[i] : nullptr;
   }
-
-  /// Inserts `key`; returns true if it was newly added.
-  bool Insert(Key key) {
-    if (KWSC_PREDICT_FALSE(slots_.empty() || 2 * (size_ + 1) > slots_.size())) {
-      Rehash(internal_flat_hash::TableCapacityFor(size_ + 1));
-    }
-    size_t i = ProbeStart(key);
-    while (used_[i]) {
-      if (slots_[i] == key) return false;
-      i = (i + 1) & mask_;
-    }
-    used_[i] = 1;
-    slots_[i] = key;
-    ++size_;
-    return true;
-  }
-
-  bool Contains(Key key) const {
-    if (slots_.empty()) return false;
-    size_t i = ProbeStart(key);
-    while (used_[i]) {
-      if (slots_[i] == key) return true;
-      i = (i + 1) & mask_;
-    }
-    return false;
-  }
-
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
 
   template <typename Fn>
-  void ForEach(Fn&& fn) const {
+  void ForEachSlot(Fn&& fn) const {
     for (size_t i = 0; i < slots_.size(); ++i) {
       if (used_[i]) fn(slots_[i]);
     }
   }
 
-  size_t MemoryBytes() const {
-    return slots_.capacity() * sizeof(Key) + used_.capacity();
-  }
-
  private:
-  size_t ProbeStart(Key key) const {
-    return static_cast<size_t>(Mix64(internal_flat_hash::KeyBits(key))) &
-           mask_;
+  /// The slot holding `key`, or the empty slot that ends its probe run.
+  size_t Probe(Key key) const {
+    size_t i = static_cast<size_t>(Mix64(KeyBits(key))) & mask_;
+    while (used_[i] && KeyOf(slots_[i]) != key) i = (i + 1) & mask_;
+    return i;
   }
 
   void Rehash(size_t new_cap) {
-    std::vector<Key> old_slots = std::move(slots_);
+    std::vector<Slot> old_slots = std::move(slots_);
     std::vector<uint8_t> old_used = std::move(used_);
-    slots_.assign(new_cap, Key{});
+    slots_.assign(new_cap, {});
     used_.assign(new_cap, 0);
     mask_ = new_cap - 1;
-    size_ = 0;
     for (size_t i = 0; i < old_slots.size(); ++i) {
       if (!old_used[i]) continue;
-      size_t j = ProbeStart(old_slots[i]);
-      while (used_[j]) j = (j + 1) & mask_;
+      const size_t j = Probe(KeyOf(old_slots[i]));
       used_[j] = 1;
-      slots_[j] = old_slots[i];
-      ++size_;
+      slots_[j] = std::move(old_slots[i]);
     }
   }
 
-  std::vector<Key> slots_;
+  std::vector<Slot> slots_;
   std::vector<uint8_t> used_;
   size_t mask_ = 0;
   size_t size_ = 0;
+};
+
+}  // namespace internal_flat_hash
+
+/// Insert-only hash map from an integral key to a value.
+template <typename Key, typename Value>
+class FlatHashMap
+    : public internal_flat_hash::Table<Key, std::pair<Key, Value>> {
+ public:
+  /// Inserts `key` if absent and returns a reference to its value slot.
+  Value& operator[](Key key) {
+    bool inserted;
+    return this->InsertSlot(key, &inserted).second;
+  }
+
+  /// Returns a pointer to the value for `key`, or nullptr if absent.
+  const Value* Find(Key key) const {
+    const auto* slot = this->FindSlot(key);
+    return slot == nullptr ? nullptr : &slot->second;
+  }
+
+  Value* Find(Key key) {
+    return const_cast<Value*>(static_cast<const FlatHashMap*>(this)->Find(key));
+  }
+
+  /// Invokes `fn(key, value)` for every entry, in unspecified order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    this->ForEachSlot([&fn](const auto& slot) { fn(slot.first, slot.second); });
+  }
+};
+
+/// Insert-only hash set of integral keys.
+template <typename Key>
+class FlatHashSet : public internal_flat_hash::Table<Key, Key> {
+ public:
+  /// Inserts `key`; returns true if it was newly added.
+  bool Insert(Key key) {
+    bool inserted;
+    this->InsertSlot(key, &inserted);
+    return inserted;
+  }
+
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    this->ForEachSlot(fn);
+  }
 };
 
 }  // namespace kwsc

@@ -38,12 +38,13 @@
 // no further level is visited.
 //
 // Persistence: SaveCheckpoint writes the "KWDY" v2 stream — registry,
-// tombstones, buffer, and per level its id list followed by its index's
-// flat container (SaveFlat bytes). LoadCheckpoint gathers each level's
-// corpus from the registry and attaches the stored container with
-// LoadFlat, so an open costs a registry read plus one flat load per level,
-// never a construction; the price is the containers' bytes in the file and,
-// since they are read onto the heap, in MemoryBytes(). Only FlatPersistable
+// tombstones, buffer, and per level its id list followed by the flat
+// container its index holds (its SaveFlat bytes, written straight from the
+// index). LoadCheckpoint gathers each level's corpus from the registry and
+// attaches the stored container with LoadFlat, so an open costs a registry
+// read plus one flat load per level, never a construction; the price is
+// the containers' bytes in the file. A level's index charges its own
+// container in MemoryBytes(), built or loaded. Only FlatPersistable
 // families checkpoint. Compact() rebuilds one static index over the live
 // objects in insertion order; after quiescence its SaveFlat bytes are
 // identical to a from-scratch build over the same object set
@@ -57,7 +58,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,9 +107,6 @@ class DynamicIndex {
     std::vector<GeomType> geoms;
     std::vector<ObjectId> id_map;  // Local id -> global id.
     std::unique_ptr<Family> index;
-    // The checkpointed container a loaded level's index views (heap bytes,
-    // charged by MemoryBytes); null for a level built by a carry.
-    std::shared_ptr<const MmapFile> file;
   };
 
   /// `merge_pool`, when non-null, runs level merges in the background:
@@ -288,8 +285,8 @@ class DynamicIndex {
 
   /// Registry-once accounting: every inserted object's document and
   /// geometry is charged exactly once (tombstoned ids included — the
-  /// registry retains them), plus the per-level copies the static indexes
-  /// own, and a loaded level's container bytes. Published snapshots share
+  /// registry retains them), plus the per-level copies and indexes (each
+  /// index charging its own container). Published snapshots share
   /// the level and document storage counted here; their private state is
   /// O(B) buffer entries of pointers.
   size_t MemoryBytes() const {
@@ -301,7 +298,6 @@ class DynamicIndex {
       if (level == nullptr) continue;
       total += level->corpus->MemoryBytes() + level->index->MemoryBytes() +
                VectorBytes(level->id_map) + VectorBytes(level->geoms);
-      if (level->file != nullptr) total += level->file->size();
     }
     return total;
   }
@@ -336,8 +332,7 @@ class DynamicIndex {
       ar.Pod<uint8_t>(level != nullptr ? 1 : 0);
       if (level == nullptr) continue;
       ar.Vec(level->id_map);
-      const std::string container = ContainerBytes(*level->index);
-      ar.Vec(std::as_bytes(std::span<const char>(container)));
+      ar.Vec(level->index->flat_container());
     }
   }
 
@@ -585,16 +580,6 @@ class DynamicIndex {
     return Corpus::Gather(ids, doc_of);
   }
 
-  /// A level's flat container: the bytes KWDY stores after its id list.
-  /// Kept out of SaveCheckpoint, as AttachLevelLocked's LoadFlat is kept out
-  /// of LoadCheckpoint, so the two bodies issue the same archive-op
-  /// sequence, which kwsc-lint's archive-symmetry rule compares.
-  static std::string ContainerBytes(const Family& index) {
-    std::ostringstream out;
-    index.SaveFlat(&out);
-    return std::move(out).str();
-  }
-
   /// A checkpointed level: members' geometry and corpus gathered from the
   /// registry, the index attached to the stored container. LoadFlat refuses
   /// a container that does not match the gathered corpus or names an
@@ -608,11 +593,10 @@ class DynamicIndex {
     level->corpus = std::make_unique<Corpus>(CorpusOfLocked(id_map));
     level->id_map = std::move(id_map);
     level->index = std::make_unique<Family>(
-        Family::LoadFlat(file, level->corpus.get()));
+        Family::LoadFlat(std::move(file), level->corpus.get()));
     KWSC_CHECK_MSG(level->index->k() == options_.k,
                    "checkpoint level has k = %d, the index k = %d",
                    level->index->k(), options_.k);
-    level->file = std::move(file);
     return level;
   }
 

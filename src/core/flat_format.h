@@ -3,23 +3,20 @@
 // Shared v2 flat-container schema for the framework tree families.
 //
 // A flat container (common/flat_arena.h) for a tree index stores one
-// FlatNodeRec per node plus five shared pools the per-node records index
-// into: the pivot pool, the large-keyword table pool, the tuple-key pool,
-// and the materialized entry/object pools. Node records keep the same DFS
-// preorder as the in-memory arena — the auditor's tree-structure check pins
-// that order, so a flat-loaded index re-saves to the built index's bytes.
-// (DESIGN.md "On-disk layout v2" records why preorder is kept over a
-// BFS/van-Emde-Boas order.)
+// FlatNodeRec per node, in DFS preorder (DESIGN.md "On-disk layout v2" says
+// why), plus five shared pools the records index into: pivots, large-keyword
+// tables, tuple keys, and materialized entries and objects.
 //
-// FlatDirPoolWriter flattens NodeDirectory contents through the canonical
-// sorted getters; FlatDirPoolReader re-points directories at the mapped
-// pools via NodeDirectory::AttachFlat. Every load checks what the query
-// path dereferences unchecked: the reader's Init makes one linear pass over
-// the two object-id pools (pivots and materialized lists) against the
-// object count, and the *shallow* pass walks the node slab — offsets,
-// bounds, child indices, preorder. The *deep* pass (run by the auditor)
-// additionally scans the other pools for canonical sort orders, which a
-// query never relies on for memory safety.
+// A build fills the records and, through FlatDirPoolWriter, the pools with
+// DirectoryBuilder's sorted output, writes the container once and attaches
+// it as a load does: FlatDirPoolReader builds each node's range-checked
+// FlatDirView, so a built index is a loaded one. Every
+// attach checks what the query path dereferences unchecked: the reader's
+// Init makes one linear pass over the two object-id pools (pivots and
+// materialized lists) against the object count, and the *shallow* pass
+// walks the node slab — offsets, bounds, child indices, preorder. The
+// *deep* pass (run by the auditor) additionally scans the other pools for
+// canonical sort orders, which a query never relies on for memory safety.
 
 #ifndef KWSC_CORE_FLAT_FORMAT_H_
 #define KWSC_CORE_FLAT_FORMAT_H_
@@ -29,10 +26,13 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/abi.h"
 #include "common/flat_arena.h"
+#include "common/macros.h"
+#include "common/memory.h"
 #include "core/node_directory.h"
 #include "text/document.h"
 
@@ -70,43 +70,52 @@ struct FlatDirPools {
 };
 KWSC_ABI_STRUCT(FlatDirPools);
 
-/// Accumulates directory contents across nodes during SaveFlat. Append one
-/// node at a time (in arena order), then emit the pools as slabs.
+/// Accumulates the directory pools of one tree as it is built: the builder's
+/// output for each node in arena (preorder) order, then the pools as slabs.
 class FlatDirPoolWriter {
  public:
-  /// Flattens `dir` and fills the pool fields of `rec` (the caller fills
-  /// cell/child/level). Contents come from the canonical sorted getters, so
-  /// owned- and flat-mode directories flatten identically.
-  template <typename CellT>
-  void Append(const NodeDirectory& dir, FlatNodeRec<CellT>* rec) {
-    rec->num_children = static_cast<uint16_t>(dir.num_children());
-    rec->weight = dir.weight();
-
-    const std::span<const ObjectId> pivots = dir.pivots();
-    rec->pivot_begin = pivot_pool_.size();
-    rec->pivot_count = static_cast<uint32_t>(pivots.size());
-    pivot_pool_.insert(pivot_pool_.end(), pivots.begin(), pivots.end());
-
-    const std::vector<FlatLargeEntry> large = dir.LargeEntriesSorted();
-    rec->large_begin = large_pool_.size();
-    rec->large_count = static_cast<uint32_t>(large.size());
-    large_pool_.insert(large_pool_.end(), large.begin(), large.end());
-
-    for (size_t c = 0; c < dir.num_children(); ++c) {
-      const std::vector<uint64_t> keys = dir.ChildTupleKeysSorted(c);
-      rec->tuple_begin[c] = tuple_pool_.size();
-      rec->tuple_count[c] = static_cast<uint32_t>(keys.size());
-      tuple_pool_.insert(tuple_pool_.end(), keys.begin(), keys.end());
+  /// Appends one node's directory and fills the pool fields of `rec` (the
+  /// caller fills cell/child/level). `Rec` is a flat node record, or any
+  /// record with the same pool fields and one tuple slot per child.
+  template <typename Rec>
+  void Append(const DirectoryContents& dir, Rec* rec) {
+    KWSC_CHECK(dir.child_tuples.size() <= std::size(rec->tuple_begin));
+    rec->num_children = static_cast<uint16_t>(dir.child_tuples.size());
+    rec->weight = dir.weight;
+    rec->pivot_count = Put(dir.pivots, &pivot_pool_, &rec->pivot_begin);
+    rec->large_count = Put(dir.large, &large_pool_, &rec->large_begin);
+    for (size_t c = 0; c < dir.child_tuples.size(); ++c) {
+      rec->tuple_count[c] =
+          Put(dir.child_tuples[c], &tuple_pool_, &rec->tuple_begin[c]);
     }
+    PutMaterialized(dir.materialized, dir.mat_objects, &rec->mat_begin);
+    rec->mat_count = static_cast<uint32_t>(dir.materialized.size());
+  }
 
-    rec->mat_begin = mat_entry_pool_.size();
-    rec->mat_count = static_cast<uint32_t>(dir.num_materialized());
-    dir.ForEachMaterializedSorted(
-        [this](KeywordId w, std::span<const ObjectId> list) {
-          mat_entry_pool_.push_back(
-              {w, static_cast<uint32_t>(list.size()), mat_obj_pool_.size()});
-          mat_obj_pool_.insert(mat_obj_pool_.end(), list.begin(), list.end());
-        });
+  /// Appends the pools of a subtree built into a private writer, rebasing
+  /// the pool fields of its records `recs` onto this writer's pools. Forked
+  /// subtrees spliced in preorder reproduce the sequential pools exactly.
+  template <typename Rec>
+  void Splice(const FlatDirPoolWriter& sub, std::span<Rec> recs) {
+    for (Rec& rec : recs) {
+      rec.pivot_begin += pivot_pool_.size();
+      rec.large_begin += large_pool_.size();
+      for (size_t c = 0; c < rec.num_children; ++c) {
+        rec.tuple_begin[c] += tuple_pool_.size();
+      }
+      rec.mat_begin += mat_entry_pool_.size();
+    }
+    uint64_t begin = 0;  // The subtree's offsets, already rebased above.
+    Put(sub.pivot_pool_, &pivot_pool_, &begin);
+    Put(sub.large_pool_, &large_pool_, &begin);
+    Put(sub.tuple_pool_, &tuple_pool_, &begin);
+    PutMaterialized(sub.mat_entry_pool_, sub.mat_obj_pool_, &begin);
+  }
+
+  size_t MemoryBytes() const {
+    return VectorBytes(pivot_pool_) + VectorBytes(large_pool_) +
+           VectorBytes(tuple_pool_) + VectorBytes(mat_entry_pool_) +
+           VectorBytes(mat_obj_pool_);
   }
 
   FlatDirPools WriteSlabs(FlatArenaWriter* writer) const {
@@ -120,6 +129,29 @@ class FlatDirPoolWriter {
   }
 
  private:
+  friend class FlatDirPoolReader;
+
+  // Appends `items` to `pool`; returns their count, their offset in `*begin`.
+  template <typename T>
+  static uint32_t Put(const std::vector<T>& items, std::vector<T>* pool,
+                      uint64_t* begin) {
+    *begin = pool->size();
+    pool->insert(pool->end(), items.begin(), items.end());
+    return static_cast<uint32_t>(items.size());
+  }
+
+  // Appends materialized entries whose `begin` index `objects`, rebased onto
+  // the object pool.
+  void PutMaterialized(const std::vector<FlatMatEntry>& entries,
+                       const std::vector<ObjectId>& objects, uint64_t* begin) {
+    const uint64_t base = mat_obj_pool_.size();
+    Put(entries, &mat_entry_pool_, begin);
+    for (size_t i = *begin; i < mat_entry_pool_.size(); ++i) {
+      mat_entry_pool_[i].begin += base;
+    }
+    mat_obj_pool_.insert(mat_obj_pool_.end(), objects.begin(), objects.end());
+  }
+
   std::vector<ObjectId> pivot_pool_;
   std::vector<FlatLargeEntry> large_pool_;
   std::vector<uint64_t> tuple_pool_;
@@ -132,6 +164,17 @@ class FlatDirPoolWriter {
 /// on the load path pass AbortingFlatErrorSink().
 class FlatDirPoolReader {
  public:
+  FlatDirPoolReader() = default;
+
+  /// Views the pools a writer holds, for an index that keeps its
+  /// directories in memory instead of a container (SP-KW-HS).
+  explicit FlatDirPoolReader(const FlatDirPoolWriter& pools)
+      : pivot_pool_(pools.pivot_pool_),
+        large_pool_(pools.large_pool_),
+        tuple_pool_(pools.tuple_pool_),
+        mat_entry_pool_(pools.mat_entry_pool_),
+        mat_obj_pool_(pools.mat_obj_pool_) {}
+
   /// Resolves the pool slabs, then checks every object id in the pivot and
   /// materialized-object pools against `num_objects` in one linear pass:
   /// queries index the rank points and the corpus with those ids unchecked.
@@ -162,15 +205,17 @@ class FlatDirPoolReader {
   /// Builds the directory view for one node record, checking every pool
   /// range (including each materialized entry's object range — the query
   /// path dereferences those unchecked). Returns false after sinking.
-  template <typename CellT>
-  bool MakeView(const FlatNodeRec<CellT>& rec, int64_t node,
-                FlatDirView* view, const FlatErrorSink& sink) const {
+  template <typename Rec>
+  bool MakeView(const Rec& rec, int64_t node, FlatDirView* view,
+                const FlatErrorSink& sink) const {
+    constexpr size_t kSlots = std::extent_v<decltype(Rec::tuple_begin)>;
+    static_assert(kSlots <= FlatDirView::kMaxChildren);
     auto bad = [&](const char* what) {
       sink("node " + std::to_string(node) + ": flat " + what +
            " range out of pool bounds");
       return false;
     };
-    if (rec.num_children > FlatDirView::kMaxChildren) {
+    if (rec.num_children > kSlots) {
       sink("node " + std::to_string(node) + ": flat num_children " +
            std::to_string(rec.num_children) + " exceeds fanout limit");
       return false;
@@ -204,8 +249,6 @@ class FlatDirPoolReader {
     return true;
   }
 
-  std::span<const ObjectId> mat_obj_pool() const { return mat_obj_pool_; }
-
  private:
   template <typename T>
   static bool RangeOk(std::span<const T> pool, uint64_t begin,
@@ -237,22 +280,54 @@ class FlatDirPoolReader {
   std::span<const ObjectId> mat_obj_pool_;
 };
 
+/// The root checks every tree attach shares, before its family's own:
+/// dimensionality, arity, and the directory pools (`pools`, with the
+/// object-id pass). Each problem goes to `sink`.
+template <typename Root>
+bool CheckFlatTreeRoot(const FlatArenaReader& reader, const Root& root,
+                       int dim, const FlatErrorSink& sink,
+                       FlatDirPoolReader* pools) {
+  if (root.dim != static_cast<uint32_t>(dim)) {
+    sink("flat root dimensionality mismatch");
+    return false;
+  }
+  if (root.options.k < 2 || root.options.k > kMaxQueryKeywords) {
+    sink("flat root k must be in [2, 8], got " +
+         std::to_string(root.options.k));
+    return false;
+  }
+  return pools->Init(reader, root.dir_pools, root.num_objects, sink);
+}
+
+/// Appends a zeroed (padding included), childless record for a tree build.
+template <typename CellT>
+FlatNodeRec<CellT>& AppendFlatNodeRec(const CellT& cell, int level,
+                                      std::vector<FlatNodeRec<CellT>>* recs) {
+  FlatNodeRec<CellT>& rec = recs->emplace_back();
+  std::memset(static_cast<void*>(&rec), 0, sizeof(rec));
+  rec.cell = cell;
+  rec.child[0] = -1;
+  rec.child[1] = -1;
+  rec.level = static_cast<int16_t>(level);
+  return rec;
+}
+
 /// Shallow structural validation over the node slab only (run on every
-/// load): child indices in range and in DFS preorder, levels increase by
-/// one, directory ranges inside the pools. Each node's range-checked
-/// directory view goes to `on_view(node, view)`: LoadFlat attaches it, so an
-/// open builds every view once; the auditor passes a no-op. Of the pools it
-/// reads only the materialized entries, so an mmap load faults in little
-/// beyond the node records.
-template <typename CellT, typename OnView>
-bool ValidateFlatTreeShallow(std::span<const FlatNodeRec<CellT>> nodes,
-                             const FlatDirPoolReader& pools,
-                             const FlatErrorSink& sink, OnView&& on_view) {
+/// attach): child indices in range and in DFS preorder, levels increase by
+/// one, directory ranges inside the pools. It builds the node arena as it
+/// goes — node i takes record i's cell, children, level and checked view.
+/// Of the pools it reads only the materialized entries, so an mmap load
+/// faults in little beyond the node records.
+template <typename Node, typename CellT>
+bool AttachFlatNodes(std::span<const FlatNodeRec<CellT>> recs,
+                     const FlatDirPoolReader& pools, const FlatErrorSink& sink,
+                     std::vector<Node>* nodes) {
   bool ok = true;
   // An empty node slab is legal: an index over an empty corpus has no tree.
-  const int64_t n = static_cast<int64_t>(nodes.size());
+  const int64_t n = static_cast<int64_t>(recs.size());
+  nodes->resize(recs.size());
   for (int64_t i = 0; i < n; ++i) {
-    const FlatNodeRec<CellT>& rec = nodes[static_cast<size_t>(i)];
+    const FlatNodeRec<CellT>& rec = recs[static_cast<size_t>(i)];
     for (int c = 0; c < 2; ++c) {
       const int32_t child = rec.child[c];
       if (child == -1) continue;
@@ -267,17 +342,22 @@ bool ValidateFlatTreeShallow(std::span<const FlatNodeRec<CellT>> nodes,
              std::to_string(child) + " breaks DFS preorder");
         ok = false;
       }
-      if (nodes[static_cast<size_t>(child)].level != rec.level + 1) {
+      if (recs[static_cast<size_t>(child)].level != rec.level + 1) {
         sink("node " + std::to_string(i) + ": flat child level skew");
         ok = false;
       }
     }
     FlatDirView view;
-    if (pools.MakeView(rec, i, &view, sink)) {
-      on_view(static_cast<size_t>(i), view);
-    } else {
+    if (!pools.MakeView(rec, i, &view, sink)) {
       ok = false;
+      continue;
     }
+    Node& node = (*nodes)[static_cast<size_t>(i)];
+    node.cell = rec.cell;
+    node.child[0] = rec.child[0];
+    node.child[1] = rec.child[1];
+    node.level = rec.level;
+    node.dir = NodeDirectory(view);
   }
   return ok;
 }

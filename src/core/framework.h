@@ -103,27 +103,27 @@ struct PersistedFrameworkOptions {
 static_assert(sizeof(PersistedFrameworkOptions) == 24,
               "archive layout of FrameworkOptions must not change");
 // PADDED: 4 bytes of alignment gap after `k` and 1 tail byte, zeroed by the
-// memset in SaveFrameworkOptions so archived images stay byte-deterministic.
+// memset in PersistFrameworkOptions so persisted images stay
+// byte-deterministic.
 KWSC_ABI_STRUCT_PADDED_AS(PersistedFrameworkOptions,
                           PersistedFrameworkOptions);
 
-inline void SaveFrameworkOptions(OutputArchive* ar,
-                                 const FrameworkOptions& options) {
-  PersistedFrameworkOptions persisted;
-  // Zero first so padding bytes are deterministic — Save streams are
-  // compared byte-for-byte by the determinism tests and fingerprints.
-  std::memset(static_cast<void*>(&persisted), 0, sizeof(persisted));
-  persisted.k = options.k;
-  persisted.alpha = options.alpha;
-  persisted.leaf_objects = options.leaf_objects;
-  persisted.enable_tuple_pruning = options.enable_tuple_pruning;
-  persisted.enable_materialized_lists = options.enable_materialized_lists;
-  persisted.exact_cell_tests = options.exact_cell_tests;
-  ar->Pod(persisted);
+/// Fills `*persisted` with the image of `options`, zeroed first so padding
+/// bytes are deterministic (persisted bytes are compared byte-for-byte).
+inline void PersistFrameworkOptions(const FrameworkOptions& options,
+                                    PersistedFrameworkOptions* persisted) {
+  std::memset(static_cast<void*>(persisted), 0, sizeof(*persisted));
+  persisted->k = options.k;
+  persisted->alpha = options.alpha;
+  persisted->leaf_objects = options.leaf_objects;
+  persisted->enable_tuple_pruning = options.enable_tuple_pruning;
+  persisted->enable_materialized_lists = options.enable_materialized_lists;
+  persisted->exact_cell_tests = options.exact_cell_tests;
 }
 
-inline FrameworkOptions LoadFrameworkOptions(InputArchive* ar) {
-  const auto persisted = ar->Pod<PersistedFrameworkOptions>();
+/// The options a persisted image names; execution knobs keep defaults.
+inline FrameworkOptions RestoreFrameworkOptions(
+    const PersistedFrameworkOptions& persisted) {
   FrameworkOptions options;
   options.k = persisted.k;
   options.alpha = persisted.alpha;
@@ -131,7 +131,18 @@ inline FrameworkOptions LoadFrameworkOptions(InputArchive* ar) {
   options.enable_tuple_pruning = persisted.enable_tuple_pruning;
   options.enable_materialized_lists = persisted.enable_materialized_lists;
   options.exact_cell_tests = persisted.exact_cell_tests;
-  return options;  // num_threads keeps its default; loading is sequential.
+  return options;
+}
+
+inline void SaveFrameworkOptions(OutputArchive* ar,
+                                 const FrameworkOptions& options) {
+  PersistedFrameworkOptions persisted;
+  PersistFrameworkOptions(options, &persisted);
+  ar->Pod(persisted);
+}
+
+inline FrameworkOptions LoadFrameworkOptions(InputArchive* ar) {
+  return RestoreFrameworkOptions(ar->Pod<PersistedFrameworkOptions>());
 }
 
 /// Index of the weighted median of `n` elements under the prefix rule shared

@@ -4,8 +4,6 @@
 
 #include <algorithm>
 
-#include "common/memory.h"
-
 namespace kwsc {
 
 namespace {
@@ -32,16 +30,28 @@ void ForEachCombination(std::span<const uint32_t> sorted_lids, int k, Fn&& fn) {
   }
 }
 
-/// The large table's flat image is keyword-sorted, so the lid lookup is a
-/// binary search instead of a hash probe.
-const FlatLargeEntry* FindLargeEntry(std::span<const FlatLargeEntry> large,
-                                     KeywordId w) {
-  const auto it = std::lower_bound(
-      large.begin(), large.end(), w,
-      [](const FlatLargeEntry& e, KeywordId key) { return e.keyword < key; });
-  if (it == large.end() || it->keyword != w) return nullptr;
-  return &*it;
+/// The element of `sorted` (ascending by key_of) whose key is `key`, or
+/// nullptr. The lower bound selects each halving step with a conditional
+/// move, as RankSpace::PartitionPoint does: a directory probe's comparisons
+/// would mispredict a branch about every other step.
+template <typename T, typename Key, typename KeyOf>
+const T* FindSorted(std::span<const T> sorted, Key key, KeyOf key_of) {
+  if (sorted.empty()) return nullptr;
+  const T* base = sorted.data();
+  for (size_t n = sorted.size(); n > 1;) {
+    const size_t half = n / 2;
+    base = key_of(base[half]) < key ? base + half : base;
+    n -= half;
+  }
+  // `base` is the last element below `key`, or the first element.
+  if (key_of(*base) < key) ++base;
+  return base != sorted.data() + sorted.size() && key_of(*base) == key
+             ? base
+             : nullptr;
 }
+
+// The sort key of large and materialized entries.
+constexpr auto kKeywordOf = [](const auto& entry) { return entry.keyword; };
 
 }  // namespace
 
@@ -58,123 +68,35 @@ uint64_t NodeDirectory::EncodeTuple(std::span<const uint32_t> lids) {
 }
 
 int64_t NodeDirectory::LargeId(KeywordId w) const {
-  if (flat_mode_) {
-    const FlatLargeEntry* entry = FindLargeEntry(flat_.large, w);
-    return entry == nullptr ? -1 : static_cast<int64_t>(entry->lid);
-  }
-  const uint32_t* id = large_.Find(w);
-  return id == nullptr ? -1 : static_cast<int64_t>(*id);
+  const FlatLargeEntry* entry = FindSorted(view_.large, w, kKeywordOf);
+  return entry == nullptr ? -1 : static_cast<int64_t>(entry->lid);
 }
 
 bool NodeDirectory::ResolveLarge(std::span<const KeywordId> sorted_keywords,
                                  uint32_t* lids,
                                  KeywordId* small_keyword) const {
-  if (flat_mode_) {
-    for (size_t i = 0; i < sorted_keywords.size(); ++i) {
-      const FlatLargeEntry* entry =
-          FindLargeEntry(flat_.large, sorted_keywords[i]);
-      if (entry == nullptr) {
-        *small_keyword = sorted_keywords[i];
-        return false;
-      }
-      lids[i] = entry->lid;
-    }
-    return true;
-  }
   for (size_t i = 0; i < sorted_keywords.size(); ++i) {
-    const uint32_t* id = large_.Find(sorted_keywords[i]);
-    if (id == nullptr) {
+    const FlatLargeEntry* entry =
+        FindSorted(view_.large, sorted_keywords[i], kKeywordOf);
+    if (entry == nullptr) {
       *small_keyword = sorted_keywords[i];
       return false;
     }
-    lids[i] = *id;
+    lids[i] = entry->lid;
   }
   return true;
 }
 
 bool NodeDirectory::ChildTupleContainsKey(size_t c, uint64_t key) const {
-  if (flat_mode_) {
-    const std::span<const uint64_t> keys = flat_.child_tuples[c];
-    return std::binary_search(keys.begin(), keys.end(), key);
-  }
-  return child_tuples_[c].Contains(key);
+  return FindSorted(view_.child_tuples[c], key,
+                    [](uint64_t k) { return k; }) != nullptr;
 }
 
 std::optional<std::span<const ObjectId>> NodeDirectory::MaterializedList(
     KeywordId w) const {
-  if (flat_mode_) {
-    const auto it = std::lower_bound(
-        flat_.materialized.begin(), flat_.materialized.end(), w,
-        [](const FlatMatEntry& e, KeywordId key) { return e.keyword < key; });
-    if (it == flat_.materialized.end() || it->keyword != w) return std::nullopt;
-    return flat_.mat_pool.subspan(it->begin, it->count);
-  }
-  const std::vector<ObjectId>* list = materialized_.Find(w);
-  if (list == nullptr) return std::nullopt;
-  return std::span<const ObjectId>(*list);
-}
-
-std::vector<FlatLargeEntry> NodeDirectory::LargeEntriesSorted() const {
-  if (flat_mode_) {
-    return std::vector<FlatLargeEntry>(flat_.large.begin(), flat_.large.end());
-  }
-  std::vector<FlatLargeEntry> entries;
-  entries.reserve(large_.size());
-  large_.ForEach(
-      [&](KeywordId w, uint32_t lid) { entries.push_back({w, lid}); });
-  // Deterministic archives: canonicalize the hash-table dump order.
-  std::sort(entries.begin(), entries.end(),
-            [](const FlatLargeEntry& a, const FlatLargeEntry& b) {
-              return a.keyword < b.keyword;
-            });
-  return entries;
-}
-
-std::vector<uint64_t> NodeDirectory::ChildTupleKeysSorted(size_t c) const {
-  if (flat_mode_) {
-    const std::span<const uint64_t> span = flat_.child_tuples[c];
-    return std::vector<uint64_t>(span.begin(), span.end());
-  }
-  std::vector<uint64_t> keys;
-  keys.reserve(child_tuples_[c].size());
-  child_tuples_[c].ForEach([&keys](uint64_t key) { keys.push_back(key); });
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-std::vector<KeywordId> NodeDirectory::OwnedMaterializedKeywordsSorted() const {
-  std::vector<KeywordId> keywords;
-  keywords.reserve(materialized_.size());
-  materialized_.ForEach(
-      [&keywords](KeywordId w, const std::vector<ObjectId>&) {
-        keywords.push_back(w);
-      });
-  std::sort(keywords.begin(), keywords.end());
-  return keywords;
-}
-
-void NodeDirectory::AttachFlat(const FlatDirView& view) {
-  KWSC_CHECK(view.num_children <= FlatDirView::kMaxChildren);
-  pivots_ = std::vector<ObjectId>();
-  large_ = FlatHashMap<KeywordId, uint32_t>();
-  child_tuples_ = std::vector<FlatHashSet<uint64_t>>();
-  materialized_ = FlatHashMap<KeywordId, std::vector<ObjectId>>();
-  weight_ = 0;
-  flat_mode_ = true;
-  flat_ = view;
-}
-
-size_t NodeDirectory::MemoryBytes() const {
-  if (flat_mode_) return 0;  // contents live in the mapping, not the heap
-  size_t total = VectorBytes(pivots_) + large_.MemoryBytes();
-  total += child_tuples_.capacity() * sizeof(FlatHashSet<uint64_t>);
-  for (const auto& set : child_tuples_) total += set.MemoryBytes();
-  total += materialized_.MemoryBytes();
-  materialized_.ForEach(
-      [&total](KeywordId, const std::vector<ObjectId>& list) {
-        total += VectorBytes(list);
-      });
-  return total;
+  const FlatMatEntry* entry = FindSorted(view_.materialized, w, kKeywordOf);
+  if (entry == nullptr) return std::nullopt;
+  return view_.mat_pool.subspan(entry->begin, entry->count);
 }
 
 uint64_t DirectoryBuilder::WeightOf(std::span<const ObjectId> objects) const {
@@ -183,19 +105,24 @@ uint64_t DirectoryBuilder::WeightOf(std::span<const ObjectId> objects) const {
   return weight;
 }
 
-void DirectoryBuilder::BuildLeaf(std::span<const ObjectId> active,
-                                 NodeDirectory* dir) {
-  dir->pivots_.assign(active.begin(), active.end());
-  dir->weight_ = WeightOf(active);
+const DirectoryContents& DirectoryBuilder::BuildLeaf(
+    std::span<const ObjectId> active) {
+  out_.weight = WeightOf(active);
+  out_.pivots.assign(active.begin(), active.end());
+  out_.large.clear();
+  out_.child_tuples.clear();
+  out_.materialized.clear();
+  out_.mat_objects.clear();
+  return out_;
 }
 
-void DirectoryBuilder::Build(
+const DirectoryContents& DirectoryBuilder::Build(
     std::span<const ObjectId> active,
     std::span<const std::vector<ObjectId>> child_active,
-    const std::vector<KeywordId>* inherited, std::vector<ObjectId> pivots,
-    NodeDirectory* dir, std::vector<KeywordId>* next_inherited) {
-  dir->pivots_ = std::move(pivots);
-  dir->weight_ = WeightOf(active);
+    const std::vector<KeywordId>* inherited, std::span<const ObjectId> pivots,
+    std::vector<KeywordId>* next_inherited) {
+  out_.weight = WeightOf(active);
+  out_.pivots.assign(pivots.begin(), pivots.end());
 
   const bool all_inherited = inherited == nullptr;
   auto is_inherited = [&](KeywordId w) {
@@ -211,39 +138,55 @@ void DirectoryBuilder::Build(
     }
   }
 
-  // Classify: w is large iff count >= max(1, N_u^alpha) (Section 3.2).
+  // Classify: w is large iff count >= max(1, N_u^alpha) (Section 3.2). Local
+  // ids follow keyword order, so the sorted table is canonical.
   const double threshold =
-      LargeThreshold(dir->weight_, options_.EffectiveAlpha());
+      LargeThreshold(out_.weight, options_.EffectiveAlpha());
   std::vector<KeywordId> larges;
   counts_.ForEach([&](KeywordId w, uint32_t count) {
     if (static_cast<double>(count) >= threshold) larges.push_back(w);
   });
   std::sort(larges.begin(), larges.end());
-  dir->large_.Reserve(larges.size());
+  out_.large.resize(larges.size());
+  lids_.Clear();
+  lids_.Reserve(larges.size());
   for (uint32_t lid = 0; lid < larges.size(); ++lid) {
-    dir->large_[larges[lid]] = lid;
+    out_.large[lid] = {larges[lid], lid};
+    lids_[larges[lid]] = lid;
   }
-  if (next_inherited != nullptr) *next_inherited = larges;
+  if (next_inherited != nullptr) *next_inherited = std::move(larges);
 
   // Pass 2: materialized lists D_u^act(w) for keywords small at u but
-  // inherited (large at all proper ancestors). Objects are appended in
-  // active-set order, giving deterministic lists. The node's own pivots are
-  // excluded: the query algorithm scans the pivot set unconditionally on
-  // every visit, so listing a pivot again would report it twice (the paper's
-  // D_u^act(w) contains D_u^pvt, where the duplication is harmless only
-  // because it reports sets).
+  // inherited (large at all proper ancestors), each in active-set order:
+  // one (keyword, position) key per entry, sorted, groups them by keyword.
+  // The node's own pivots are excluded: the query algorithm scans the pivot
+  // set unconditionally on every visit, so listing a pivot again would
+  // report it twice (the paper's D_u^act(w) contains D_u^pvt, where the
+  // duplication is harmless only because it reports sets).
+  out_.materialized.clear();
+  out_.mat_objects.clear();
   if (options_.enable_materialized_lists) {
-    for (ObjectId e : active) {
-      if (std::find(dir->pivots_.begin(), dir->pivots_.end(), e) !=
-          dir->pivots_.end()) {
+    mat_keys_.clear();
+    for (size_t i = 0; i < active.size(); ++i) {
+      const ObjectId e = active[i];
+      if (std::find(pivots.begin(), pivots.end(), e) != pivots.end()) {
         continue;
       }
       for (KeywordId w : corpus_->doc(e)) {
         const uint32_t* count = counts_.Find(w);
         if (count != nullptr && static_cast<double>(*count) < threshold) {
-          dir->materialized_[w].push_back(e);
+          mat_keys_.push_back(uint64_t{w} << 32 | i);
         }
       }
+    }
+    std::sort(mat_keys_.begin(), mat_keys_.end());
+    for (uint64_t key : mat_keys_) {
+      const KeywordId w = static_cast<KeywordId>(key >> 32);
+      if (out_.materialized.empty() || out_.materialized.back().keyword != w) {
+        out_.materialized.push_back({w, 0, out_.mat_objects.size()});
+      }
+      ++out_.materialized.back().count;
+      out_.mat_objects.push_back(active[key & 0xffffffffu]);
     }
   }
 
@@ -252,26 +195,30 @@ void DirectoryBuilder::Build(
   // object in the child's active set carries all k of them, so enumerating
   // k-combinations of each object's large keywords generates exactly the
   // non-empty cells of the paper's bit array.
-  dir->child_tuples_.assign(child_active.size(), FlatHashSet<uint64_t>());
-  if (options_.enable_tuple_pruning) {
-    std::vector<uint32_t> doc_lids;
-    for (size_t c = 0; c < child_active.size(); ++c) {
-      FlatHashSet<uint64_t>& tuples = dir->child_tuples_[c];
-      for (ObjectId e : child_active[c]) {
-        doc_lids.clear();
-        // doc is keyword-sorted and lids increase with keyword, so doc_lids
-        // is sorted ascending.
-        for (KeywordId w : corpus_->doc(e)) {
-          const uint32_t* lid = dir->large_.Find(w);
-          if (lid != nullptr) doc_lids.push_back(*lid);
-        }
-        ForEachCombination(doc_lids, options_.k,
-                           [&tuples](std::span<const uint32_t> combo) {
-                             tuples.Insert(NodeDirectory::EncodeTuple(combo));
-                           });
+  out_.child_tuples.resize(child_active.size());
+  std::vector<uint32_t> doc_lids;
+  for (size_t c = 0; c < child_active.size(); ++c) {
+    std::vector<uint64_t>& keys = out_.child_tuples[c];
+    keys.clear();
+    if (!options_.enable_tuple_pruning) continue;
+    tuples_.Clear();
+    for (ObjectId e : child_active[c]) {
+      doc_lids.clear();
+      // doc is keyword-sorted and lids increase with keyword, so doc_lids
+      // is sorted ascending.
+      for (KeywordId w : corpus_->doc(e)) {
+        const uint32_t* lid = lids_.Find(w);
+        if (lid != nullptr) doc_lids.push_back(*lid);
       }
+      ForEachCombination(doc_lids, options_.k,
+                         [this](std::span<const uint32_t> combo) {
+                           tuples_.Insert(NodeDirectory::EncodeTuple(combo));
+                         });
     }
+    tuples_.ForEach([&keys](uint64_t key) { keys.push_back(key); });
+    std::sort(keys.begin(), keys.end());
   }
+  return out_;
 }
 
 }  // namespace kwsc

@@ -2,12 +2,12 @@
 //
 // NodeDirectory: the secondary structure T_u of Section 3.2.
 //
-// For a node u of a transformed tree, the directory answers in O(1):
+// For a node u of a transformed tree, the directory answers:
 //   * the pivot set D_u^pvt (stored explicitly);
 //   * whether a keyword is large at u (and its local id among the large);
 //   * whether a k-tuple of large keywords has a non-empty intersection
 //     inside a given child (the paper's k-dimensional bit array, realized as
-//     a hash set of the *realized* non-empty tuples — see DESIGN.md,
+//     the sorted array of the *realized* non-empty tuples — see DESIGN.md,
 //     substitution 2);
 //   * the materialized list D_u^act(w) for keywords that are small at u but
 //     were large at every proper ancestor.
@@ -17,20 +17,19 @@
 // materialized there and no query can ask about it below, so tracking it
 // would waste space without changing any answer.
 //
-// The directory runs in one of two modes:
-//   * owned — hash tables and vectors built by DirectoryBuilder;
-//   * flat — sorted spans into the memory-mapped slabs of a v2 flat
-//     container (AttachFlat). Lookups switch from hashing to binary search
-//     over the canonical sorted order; nothing is copied off the mapping.
-// Query and save paths are mode-agnostic, so a flat-loaded index answers
-// identically and re-saves to byte-identical flat bytes.
+// A directory is a view: sorted spans into the directory pools of its
+// index's flat container (core/flat_format.h), whether the index was just
+// built or loaded — a build writes the container and attaches it the way a
+// load does. DirectoryBuilder emits each node's contents as sorted arrays,
+// which FlatDirPoolWriter appends to the pools. The three lookups (large
+// keyword, child tuple, materialized list) run one branch-free lower bound
+// over their sorted span.
 
 #ifndef KWSC_CORE_NODE_DIRECTORY_H_
 #define KWSC_CORE_NODE_DIRECTORY_H_
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -66,11 +65,12 @@ struct FlatMatEntry {
 static_assert(sizeof(FlatMatEntry) == 16, "no padding allowed in slabs");
 KWSC_ABI_STRUCT(FlatMatEntry);
 
-/// Flat-mode directory contents: sorted spans into mapped slabs. The owning
-/// index keeps the backing MmapFile alive for as long as the directory uses
-/// the view. Flat persistence currently covers the binary families only.
+/// A node's directory: sorted spans into the directory pools. The owning
+/// index keeps the pools alive for as long as the directory uses the view.
+/// The binary families persist two tuple slots per node; SP-KW-HS's four
+/// children use all four.
 struct FlatDirView {
-  static constexpr size_t kMaxChildren = 2;
+  static constexpr size_t kMaxChildren = 4;
 
   std::span<const ObjectId> pivots;
   std::span<const FlatLargeEntry> large;  // sorted by keyword
@@ -85,19 +85,16 @@ struct FlatDirView {
 class NodeDirectory {
  public:
   NodeDirectory() = default;
+  explicit NodeDirectory(const FlatDirView& view) : view_(view) {}
 
   /// The objects stored at this node (the paper's D_u^pvt).
-  std::span<const ObjectId> pivots() const {
-    return flat_mode_ ? flat_.pivots : std::span<const ObjectId>(pivots_);
-  }
+  std::span<const ObjectId> pivots() const { return view_.pivots; }
 
   /// N_u: total document weight of the active set at this node.
-  uint64_t weight() const { return flat_mode_ ? flat_.weight : weight_; }
+  uint64_t weight() const { return view_.weight; }
 
   /// Number of keywords large (and inherited) at this node.
-  size_t num_large() const {
-    return flat_mode_ ? flat_.large.size() : large_.size();
-  }
+  size_t num_large() const { return view_.large.size(); }
 
   /// Local id of `w` among the large keywords, or -1 if w is small/absent.
   int64_t LargeId(KeywordId w) const;
@@ -116,33 +113,16 @@ class NodeDirectory {
     return ChildTupleContainsKey(child, EncodeTuple(lids));
   }
 
-  size_t num_children() const {
-    return flat_mode_ ? flat_.num_children : child_tuples_.size();
-  }
+  size_t num_children() const { return view_.num_children; }
 
   /// Materialized D_u^act(w), or nullopt when w has no list here (either the
   /// materialization condition fails or w does not occur below u).
   std::optional<std::span<const ObjectId>> MaterializedList(KeywordId w) const;
 
-  // ---- Mode-agnostic iteration (save path, auditor) ----
-  //
-  // Owned-mode hash iteration order is seeded per-process, so these
-  // canonicalize to keyword/key-ascending order; flat mode stores exactly
-  // that order already. FlatDirPoolWriter (core/flat_format.h) is built on
-  // them, which is what makes a flat-loaded index re-save byte-identically.
-
-  size_t num_materialized() const {
-    return flat_mode_ ? flat_.materialized.size() : materialized_.size();
-  }
-
-  /// Large-keyword table in keyword-ascending order.
-  std::vector<FlatLargeEntry> LargeEntriesSorted() const;
-
-  /// Tuple-registry keys of child `c` in ascending order.
-  std::vector<uint64_t> ChildTupleKeysSorted(size_t c) const;
+  size_t num_materialized() const { return view_.materialized.size(); }
 
   size_t NumChildTupleKeys(size_t c) const {
-    return flat_mode_ ? flat_.child_tuples[c].size() : child_tuples_[c].size();
+    return view_.child_tuples[c].size();
   }
 
   bool ChildTupleContainsKey(size_t c, uint64_t key) const;
@@ -150,52 +130,38 @@ class NodeDirectory {
   /// Invokes fn(keyword, list) for every materialized list in
   /// keyword-ascending order.
   template <typename Fn>
-  void ForEachMaterializedSorted(Fn&& fn) const {
-    if (flat_mode_) {
-      for (const FlatMatEntry& entry : flat_.materialized) {
-        fn(entry.keyword, flat_.mat_pool.subspan(entry.begin, entry.count));
-      }
-      return;
-    }
-    std::vector<KeywordId> keywords = OwnedMaterializedKeywordsSorted();
-    for (KeywordId w : keywords) {
-      const std::vector<ObjectId>* list = materialized_.Find(w);
-      fn(w, std::span<const ObjectId>(*list));
+  void ForEachMaterialized(Fn&& fn) const {
+    for (const FlatMatEntry& entry : view_.materialized) {
+      fn(entry.keyword, view_.mat_pool.subspan(entry.begin, entry.count));
     }
   }
-
-  size_t MemoryBytes() const;
-
-  /// Switches to flat mode over `view` (spans into a mapped v2 container).
-  /// Owned storage is released; the caller guarantees the backing bytes
-  /// outlive this directory.
-  void AttachFlat(const FlatDirView& view);
-
-  bool flat_mode() const { return flat_mode_; }
 
   /// Packs up to k local ids (each < 2^(64/k)) into one 64-bit key. Local id
   /// counts are bounded by N_u^{1/k} <= 2^{64/k}, so the packing always fits.
   static uint64_t EncodeTuple(std::span<const uint32_t> lids);
 
  private:
-  friend class DirectoryBuilder;
-  // The invariant auditor's corruption-injection tests mutate the owned
-  // tables directly; see audit/audit_access.h.
+  // The invariant auditor's corruption-injection tests re-point the view;
+  // see audit/audit_access.h.
   friend struct audit::AuditAccess;
 
-  std::vector<KeywordId> OwnedMaterializedKeywordsSorted() const;
-
-  std::vector<ObjectId> pivots_;
-  FlatHashMap<KeywordId, uint32_t> large_;
-  std::vector<FlatHashSet<uint64_t>> child_tuples_;
-  FlatHashMap<KeywordId, std::vector<ObjectId>> materialized_;
-  uint64_t weight_ = 0;
-
-  bool flat_mode_ = false;
-  FlatDirView flat_;
+  FlatDirView view_;
 };
 
-/// Builds NodeDirectory contents during index construction. One builder is
+/// One node's directory as DirectoryBuilder emits it: sorted arrays of the
+/// flat slab elements, which FlatDirPoolWriter appends to the pools.
+struct DirectoryContents {
+  uint64_t weight = 0;
+  std::vector<ObjectId> pivots;
+  std::vector<FlatLargeEntry> large;  // keyword-ascending; lid = position
+  // One array per child: ascending, distinct tuple keys.
+  std::vector<std::vector<uint64_t>> child_tuples;
+  // Keyword-ascending; each entry's `begin` indexes mat_objects.
+  std::vector<FlatMatEntry> materialized;
+  std::vector<ObjectId> mat_objects;
+};
+
+/// Computes directory contents during index construction. One builder is
 /// reused across nodes to amortize scratch allocations.
 class DirectoryBuilder {
  public:
@@ -205,28 +171,37 @@ class DirectoryBuilder {
   /// Total document weight of `objects`.
   uint64_t WeightOf(std::span<const ObjectId> objects) const;
 
-  /// Populates `dir` for a node whose active set is `active` and whose
-  /// children have active sets `child_active[0..f)`. `inherited` lists the
-  /// keywords large at every proper ancestor in sorted order; nullptr means
-  /// "all keywords" (the root). `pivots` are the objects stored at the node.
+  /// The directory of a node whose active set is `active` and whose children
+  /// have active sets `child_active[0..f)`. `inherited` lists the keywords
+  /// large at every proper ancestor in sorted order; nullptr means "all
+  /// keywords" (the root). `pivots` are the objects stored at the node.
+  /// The result stays valid until the next Build or BuildLeaf.
   ///
   /// On return, `next_inherited` (if non-null) receives the sorted keywords
   /// that are large at this node — the inherited set for the children.
-  void Build(std::span<const ObjectId> active,
-             std::span<const std::vector<ObjectId>> child_active,
-             const std::vector<KeywordId>* inherited,
-             std::vector<ObjectId> pivots, NodeDirectory* dir,
-             std::vector<KeywordId>* next_inherited);
+  const DirectoryContents& Build(
+      std::span<const ObjectId> active,
+      std::span<const std::vector<ObjectId>> child_active,
+      const std::vector<KeywordId>* inherited,
+      std::span<const ObjectId> pivots,
+      std::vector<KeywordId>* next_inherited);
 
   /// Leaf variant: the whole active set becomes the pivot set and no
   /// large/tuple machinery is needed (the query examines pivots directly).
-  void BuildLeaf(std::span<const ObjectId> active, NodeDirectory* dir);
+  const DirectoryContents& BuildLeaf(std::span<const ObjectId> active);
 
  private:
   const Corpus* corpus_;
   FrameworkOptions options_;
   // Scratch: keyword -> occurrence count within the current active set.
   FlatHashMap<KeywordId, uint32_t> counts_;
+  // Scratch: large keyword -> local id.
+  FlatHashMap<KeywordId, uint32_t> lids_;
+  // Scratch: one child's realized tuple keys, deduplicated.
+  FlatHashSet<uint64_t> tuples_;
+  // Scratch: (keyword << 32 | active position) per materialized entry.
+  std::vector<uint64_t> mat_keys_;
+  DirectoryContents out_;
 };
 
 }  // namespace kwsc

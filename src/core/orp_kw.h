@@ -80,8 +80,11 @@ class OrpKwIndex {
   /// way); otherwise `options.num_threads` decides whether the build spins
   /// up its own. The built index — including its SaveFlat bytes — is
   /// identical for every thread count.
+  /// The build writes the flat container once and attaches it through
+  /// LoadFlat; `family_tag` names it, as LoadFlat's `expected_tag` does.
   OrpKwIndex(std::span<const PointType> points, const Corpus* corpus,
-             FrameworkOptions options, ThreadPool* pool = nullptr)
+             FrameworkOptions options, ThreadPool* pool = nullptr,
+             uint32_t family_tag = kFlatFamilyTag)
       : corpus_(corpus), options_(options), rank_(points) {
     KWSC_CHECK(corpus != nullptr);
     KWSC_CHECK_MSG(points.size() == corpus->num_objects(),
@@ -92,17 +95,23 @@ class OrpKwIndex {
     for (uint32_t e = 0; e < points.size(); ++e) {
       rank_points[e] = rank_.ToRank(e);
     }
-    rank_points_.Assign(std::move(rank_points));
-    if (points.empty()) return;
-    std::unique_ptr<ThreadPool> owned_pool;
-    if (pool == nullptr) {
-      const int threads = ResolveNumThreads(options_.num_threads);
-      if (threads > 1) {
-        owned_pool = std::make_unique<ThreadPool>(threads - 1);
-        pool = owned_pool.get();
+    rank_points_.Attach(rank_points);
+    BuildArena arena;
+    if (!points.empty()) {
+      std::unique_ptr<ThreadPool> owned_pool;
+      if (pool == nullptr) {
+        const int threads = ResolveNumThreads(options_.num_threads);
+        if (threads > 1) {
+          owned_pool = std::make_unique<ThreadPool>(threads - 1);
+          pool = owned_pool.get();
+        }
       }
+      Build(pool, &arena);
     }
-    Build(pool);
+    *this = LoadFlat(SaveFlat(arena, family_tag), corpus, 0, family_tag);
+    // The container round-trips every persisted field; the execution
+    // knobs it does not store stay the caller's.
+    options_ = options;
   }
 
   int k() const { return options_.k; }
@@ -200,11 +209,12 @@ class OrpKwIndex {
     return rank_points_[e];
   }
 
+  /// The node arena, the rank tables' bucket index, and the container when
+  /// it lives on the heap (a build's, or bytes read rather than mapped).
   size_t MemoryBytes() const {
-    size_t total = rank_.MemoryBytes() + rank_points_.MemoryBytes() +
-                   nodes_.capacity() * sizeof(Node);
-    for (const Node& node : nodes_) total += node.dir.MemoryBytes();
-    return total;
+    const bool heap = mmap_ != nullptr && !mmap_->used_mmap();
+    return rank_.MemoryBytes() + nodes_.capacity() * sizeof(Node) +
+           (heap ? container_.size() : 0);
   }
 
   /// Maximum node level (root = 0); the analysis expects O(log N).
@@ -215,14 +225,14 @@ class OrpKwIndex {
   }
 
   // ---- Persistence: the v2 flat layout (common/flat_arena.h; DESIGN.md
-  // "On-disk layout v2") is the index's only on-disk form. SaveFlat writes
-  // one offset-addressed container; LoadFlat is an mmap plus
-  // header/structure validation and one pass over the object-id pools —
-  // the bulk payload (rank tables, rank points, directory pools) stays
-  // mapped and only the O(num_nodes) arena is rebuilt, each directory
-  // attached as a zero-copy view. The corpus is
-  // saved separately (Corpus::Save) and supplied again on LoadFlat; the
-  // object count and weight guard against a mismatch. ----
+  // "On-disk layout v2") is the index's only on-disk form and its only
+  // in-memory form. A build writes one offset-addressed container; LoadFlat
+  // attaches one — header/structure validation and one pass over the
+  // object-id pools — keeping the bulk payload (rank tables, rank points,
+  // directory pools) in place and rebuilding only the O(num_nodes) arena,
+  // each directory a zero-copy view. SaveFlat writes the held bytes. The
+  // corpus is saved separately (Corpus::Save) and supplied again on
+  // LoadFlat; the object count and weight guard against a mismatch. ----
 
   static constexpr uint32_t kFlatFamilyTag = FlatFamilyTag('K', 'W', 'O', '2');
 
@@ -240,39 +250,44 @@ class OrpKwIndex {
     FlatDirPools dir_pools;
   };
 
+  /// Writes the container this index holds under `family_tag`.
   void SaveFlat(std::ostream* out, uint32_t family_tag = kFlatFamilyTag) const {
+    WriteFlatContainer(container_, family_tag, out);
+  }
+
+  /// The held container's bytes: SaveFlat's output under the tag the
+  /// index was built or loaded with.
+  std::span<const std::byte> flat_container() const { return container_; }
+
+ private:
+  // A tree under construction: node records in DFS preorder and the
+  // directory pools they index, as the container stores them.
+  struct BuildArena {
+    std::vector<FlatNodeRec<RankBox>> recs;
+    FlatDirPoolWriter pools;
+  };
+
+  // Writes a fresh build's container: the rank tables and rank points this
+  // index holds, then the arena's records and pools.
+  std::shared_ptr<const MmapFile> SaveFlat(const BuildArena& arena,
+                                           uint32_t family_tag) const {
     FlatArenaWriter writer(family_tag);
     FlatRoot root;
     std::memset(static_cast<void*>(&root), 0, sizeof(root));  // padding must be deterministic
     root.dim = static_cast<uint32_t>(D);
-    root.options.k = options_.k;
-    root.options.alpha = options_.alpha;
-    root.options.leaf_objects = options_.leaf_objects;
-    root.options.enable_tuple_pruning = options_.enable_tuple_pruning;
-    root.options.enable_materialized_lists = options_.enable_materialized_lists;
-    root.options.exact_cell_tests = options_.exact_cell_tests;
+    PersistFrameworkOptions(options_, &root.options);
     root.num_objects = corpus_->num_objects();
     root.total_weight = corpus_->total_weight();
     root.rank = rank_.SaveFlatSlabs(&writer);
     root.rank_points = writer.Slab(rank_points_.view());
-
-    FlatDirPoolWriter pools;
-    std::vector<FlatNodeRec<RankBox>> recs(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      FlatNodeRec<RankBox>& rec = recs[i];
-      std::memset(static_cast<void*>(&rec), 0, sizeof(rec));
-      rec.cell = nodes_[i].cell;
-      rec.child[0] = nodes_[i].child[0];
-      rec.child[1] = nodes_[i].child[1];
-      rec.level = nodes_[i].level;
-      pools.Append(nodes_[i].dir, &rec);
-    }
+    const std::span<const FlatNodeRec<RankBox>> recs = arena.recs;
     root.nodes = writer.Slab<FlatNodeRec<RankBox>>(recs);
-    root.dir_pools = pools.WriteSlabs(&writer);
+    root.dir_pools = arena.pools.WriteSlabs(&writer);
     writer.Root(root);
-    writer.WriteTo(out);
+    return writer.ToFile();
   }
 
+ public:
   /// Opens a flat container over mapped bytes. The returned index keeps
   /// `file` alive; `offset` addresses nested containers inside wrapper
   /// formats. Any structural problem aborts.
@@ -284,50 +299,28 @@ class OrpKwIndex {
     const FlatErrorSink sink = AbortingFlatErrorSink();
     const FlatArenaReader reader(*file, offset, expected_tag);
     const FlatRoot& root = reader.template Root<FlatRoot>();
-    KWSC_CHECK_MSG(root.dim == static_cast<uint32_t>(D),
-                   "index dimensionality mismatch");
+    OrpKwIndex index(corpus);
+    FlatDirPoolReader pools;
+    KWSC_CHECK(CheckRoot(reader, root, sink, &index.rank_, &pools));
     KWSC_CHECK_MSG(root.num_objects == corpus->num_objects(),
                    "corpus object count mismatch");
     KWSC_CHECK_MSG(root.total_weight == corpus->total_weight(),
                    "corpus weight mismatch");
-
-    CheckKeywordArity(root.options.k);
-    OrpKwIndex index(corpus);
-    index.options_.k = root.options.k;
-    index.options_.alpha = root.options.alpha;
-    index.options_.leaf_objects = root.options.leaf_objects;
-    index.options_.enable_tuple_pruning = root.options.enable_tuple_pruning;
-    index.options_.enable_materialized_lists =
-        root.options.enable_materialized_lists;
-    index.options_.exact_cell_tests = root.options.exact_cell_tests;
-    KWSC_CHECK(index.rank_.AttachFlat(reader, root.rank, root.num_objects,
-                                      sink));
-    using RankPointT = Point<D, int64_t>;
-    KWSC_CHECK(reader.SlabOk<RankPointT>(root.rank_points) &&
-               root.rank_points.count == root.num_objects);
+    index.options_ = RestoreFrameworkOptions(root.options);
     index.rank_points_.Attach(reader.Slab<Point<D, int64_t>>(root.rank_points));
 
-    FlatDirPoolReader pools;
-    KWSC_CHECK(pools.Init(reader, root.dir_pools, root.num_objects, sink));
     const auto recs = reader.Slab<FlatNodeRec<RankBox>>(root.nodes);
-    index.nodes_.resize(recs.size());
-    const auto attach = [&](size_t i, const FlatDirView& view) {
-      Node& node = index.nodes_[i];
-      node.cell = recs[i].cell;
-      node.child[0] = recs[i].child[0];
-      node.child[1] = recs[i].child[1];
-      node.level = recs[i].level;
-      node.dir.AttachFlat(view);
-    };
-    KWSC_CHECK(ValidateFlatTreeShallow(recs, pools, sink, attach));
+    KWSC_CHECK(AttachFlatNodes(recs, pools, sink, &index.nodes_));
+    index.container_ = {file->data() + offset, reader.total_bytes()};
     index.mmap_ = std::move(file);
     return index;
   }
 
-  /// Layout-level verification of a flat container: header, slab bounds and
-  /// alignment, tree structure, canonical sort orders, object-id ranges.
-  /// Never aborts; every problem goes through `sink`. The audit subsystem
-  /// wraps this into AuditCheck::kFlatLayout (audit/index_auditor.h).
+  /// Layout-level verification of a flat container: LoadFlat's checks —
+  /// header, slab bounds and alignment, tree structure, object-id ranges —
+  /// plus canonical sort orders. Never aborts; every problem goes through
+  /// `sink`. The audit subsystem wraps this into AuditCheck::kFlatLayout
+  /// (audit/index_auditor.h).
   static bool ValidateFlat(const MmapFile& file, uint64_t offset,
                            uint32_t expected_tag, const FlatErrorSink& sink) {
     if (!FlatArenaReader::Validate(file, offset, expected_tag, sink)) {
@@ -339,40 +332,13 @@ class OrpKwIndex {
       return false;
     }
     const FlatRoot& root = reader.template Root<FlatRoot>();
-    if (root.dim != static_cast<uint32_t>(D)) {
-      sink("flat root dimensionality mismatch");
-      return false;
-    }
-    bool ok = true;
-    if (root.options.k < 2 || root.options.k > kMaxQueryKeywords) {
-      sink("flat root k " + std::to_string(root.options.k) +
-           " outside [2, 8]");
-      ok = false;
-    }
-    RankSpace<D, Scalar> rank_probe;
-    if (!rank_probe.AttachFlat(reader, root.rank, root.num_objects, sink)) {
-      ok = false;
-    }
-    if (!reader.SlabOk<Point<D, int64_t>>(root.rank_points) ||
-        root.rank_points.count != root.num_objects) {
-      sink("flat rank-point slab out of bounds or cardinality mismatch");
-      ok = false;
-    }
+    RankSpace<D, Scalar> rank;
     FlatDirPoolReader pools;
-    if (!pools.Init(reader, root.dir_pools, root.num_objects, sink)) {
-      return false;
-    }
-    if (!reader.SlabOk<FlatNodeRec<RankBox>>(root.nodes)) {
-      sink("flat node slab out of bounds");
-      return false;
-    }
+    if (!CheckRoot(reader, root, sink, &rank, &pools)) return false;
     const auto recs = reader.Slab<FlatNodeRec<RankBox>>(root.nodes);
-    if (!ValidateFlatTreeShallow(recs, pools, sink,
-                                 [](size_t, const FlatDirView&) {})) {
-      ok = false;
-    }
-    if (!ValidateFlatTreeDeep(recs, pools, sink)) ok = false;
-    return ok;
+    std::vector<Node> nodes;
+    const bool shallow = AttachFlatNodes(recs, pools, sink, &nodes);
+    return ValidateFlatTreeDeep(recs, pools, sink) && shallow;
   }
 
  private:
@@ -382,6 +348,28 @@ class OrpKwIndex {
 
   // Shell constructor used by LoadFlat.
   explicit OrpKwIndex(const Corpus* corpus) : corpus_(corpus) {}
+
+  // The checks of every attach, LoadFlat's and ValidateFlat's alike: the
+  // shared tree-root checks, then the rank tables (attached to `rank`), the
+  // rank-point slab and the node slab.
+  static bool CheckRoot(const FlatArenaReader& reader, const FlatRoot& root,
+                        const FlatErrorSink& sink, RankSpace<D, Scalar>* rank,
+                        FlatDirPoolReader* pools) {
+    if (!CheckFlatTreeRoot(reader, root, D, sink, pools) ||
+        !rank->AttachFlat(reader, root.rank, root.num_objects, sink)) {
+      return false;
+    }
+    if (!reader.SlabOk<Point<D, int64_t>>(root.rank_points) ||
+        root.rank_points.count != root.num_objects) {
+      sink("flat rank-point slab out of bounds or cardinality mismatch");
+      return false;
+    }
+    if (!reader.SlabOk<FlatNodeRec<RankBox>>(root.nodes)) {
+      sink("flat node slab out of bounds");
+      return false;
+    }
+    return true;
+  }
 
   struct Node {
     RankBox cell;
@@ -420,18 +408,18 @@ class OrpKwIndex {
   // splice are not worth amortizing over fewer objects.
   static constexpr size_t kMinForkObjects = 512;
 
-  void Build(ThreadPool* pool) {
+  void Build(ThreadPool* pool, BuildArena* arena) {
     const size_t n = rank_points_.size();
-    nodes_.reserve(2 * n / options_.leaf_objects + 2);
+    arena->recs.reserve(2 * n / options_.leaf_objects + 2);
     DirectoryBuilder builder(corpus_, options_);
     if (n <= static_cast<size_t>(options_.leaf_objects)) {
       // Root-only tree; the leaf keeps the object-id pivot order the
       // recursive construction would have received.
-      nodes_.emplace_back();
-      nodes_[0].cell = RankBox::Everything();
       std::vector<ObjectId> active(n);
       std::iota(active.begin(), active.end(), 0);
-      builder.BuildLeaf(active, &nodes_[0].dir);
+      arena->pools.Append(
+          builder.BuildLeaf(active),
+          &AppendFlatNodeRec(RankBox::Everything(), 0, &arena->recs));
       return;
     }
     // Rank coordinates per dimension are a permutation of 0..n-1
@@ -448,7 +436,7 @@ class OrpKwIndex {
     ctx.pool = pool;
     ctx.fork_levels = ForkLevels(pool);
     BuildNode(&root, RankBox::Everything(), /*level=*/0,
-              /*inherited=*/nullptr, &builder, &nodes_, &ctx);
+              /*inherited=*/nullptr, &builder, arena, &ctx);
   }
 
   // Forking the top `fork_levels` levels yields up to 2^fork_levels subtree
@@ -464,32 +452,29 @@ class OrpKwIndex {
   }
 
   // Appends `sub` — a subtree arena in DFS preorder with arena-local child
-  // indices — onto `arena`, rebasing the indices. Returns the subtree root's
-  // index in `arena`, or -1 for an empty subtree. Splicing left then right
-  // after a forked build reproduces the sequential DFS preorder exactly,
-  // which is what makes parallel builds byte-identical under SaveFlat.
-  static int32_t SpliceArena(std::vector<Node>* arena, std::vector<Node>* sub) {
-    if (sub->empty()) return -1;
-    const int32_t base = static_cast<int32_t>(arena->size());
-    arena->reserve(arena->size() + sub->size());
-    for (Node& node : *sub) {
-      for (int32_t& child : node.child) {
+  // indices and pool offsets — onto `arena`, rebasing both. Returns the
+  // subtree root's index in `arena`, or -1 for an empty subtree. Splicing
+  // left then right after a forked build reproduces the sequential arena
+  // exactly, which is what makes parallel builds byte-identical.
+  static int32_t SpliceArena(BuildArena* arena, BuildArena* sub) {
+    if (sub->recs.empty()) return -1;
+    const int32_t base = static_cast<int32_t>(arena->recs.size());
+    for (FlatNodeRec<RankBox>& rec : sub->recs) {
+      for (int32_t& child : rec.child) {
         if (child >= 0) child += base;
       }
-      arena->push_back(std::move(node));
     }
-    sub->clear();
+    arena->pools.Splice(sub->pools, std::span(sub->recs));
+    arena->recs.insert(arena->recs.end(), sub->recs.begin(), sub->recs.end());
     return base;
   }
 
   uint32_t BuildNode(ActiveSet* active, const RankBox& cell, int level,
                      const std::vector<KeywordId>* inherited,
-                     DirectoryBuilder* builder, std::vector<Node>* arena,
+                     DirectoryBuilder* builder, BuildArena* arena,
                      const BuildContext* ctx) {
-    const uint32_t index = static_cast<uint32_t>(arena->size());
-    arena->emplace_back();
-    (*arena)[index].cell = cell;
-    (*arena)[index].level = static_cast<int16_t>(level);
+    const uint32_t index = static_cast<uint32_t>(arena->recs.size());
+    AppendFlatNodeRec(cell, level, &arena->recs);
 
     const size_t n = active->size();
     if (n <= static_cast<size_t>(options_.leaf_objects)) {
@@ -498,8 +483,9 @@ class OrpKwIndex {
       // leaf is handled in Build; the + D keeps the modulus in range even on
       // that unreachable path, which GCC's array-bounds analysis otherwise
       // flags when this call is inlined into Build with level = 0.)
-      builder->BuildLeaf(active->by_dim[((level - 1) % D + D) % D],
-                         &(*arena)[index].dir);
+      arena->pools.Append(
+          builder->BuildLeaf(active->by_dim[((level - 1) % D + D) % D]),
+          &arena->recs[index]);
       return index;
     }
 
@@ -520,8 +506,10 @@ class OrpKwIndex {
     child_split[1].assign(sorted.begin() + median + 1, sorted.end());
 
     std::vector<KeywordId> next_inherited;
-    builder->Build(sorted, child_split, inherited, {pivot},
-                   &(*arena)[index].dir, &next_inherited);
+    arena->pools.Append(
+        builder->Build(sorted, child_split, inherited,
+                       std::span<const ObjectId>(&pivot, 1), &next_inherited),
+        &arena->recs[index]);
 
     // Partition every other dimension's view around the pivot. Rank
     // coordinates are distinct, so side membership is a single comparison
@@ -555,8 +543,8 @@ class OrpKwIndex {
       // the right one, each into a private arena. The forked task gets its
       // own DirectoryBuilder (its scratch state is per-instance) and a copy
       // of the inherited-keyword list.
-      std::vector<Node> left_arena;
-      std::vector<Node> right_arena;
+      BuildArena left_arena;
+      BuildArena right_arena;
       {
         TaskGroup group(ctx->pool);
         group.Run([this, &left, left_cell, level, next_inherited, &left_arena,
@@ -583,8 +571,8 @@ class OrpKwIndex {
             ctx));
       }
     }
-    (*arena)[index].child[0] = left_child;
-    (*arena)[index].child[1] = right_child;
+    arena->recs[index].child[0] = left_child;
+    arena->recs[index].child[1] = right_child;
     return index;
   }
 
@@ -693,11 +681,12 @@ class OrpKwIndex {
   const Corpus* corpus_;
   FrameworkOptions options_;
   RankSpace<D, Scalar> rank_;
-  // Owned after a build; a zero-copy view into mmap_ after LoadFlat.
-  OwnedSpan<Point<D, int64_t>> rank_points_;
+  SlabSpan<Point<D, int64_t>> rank_points_;
   std::vector<Node> nodes_;
-  // Keeps the mapped bytes every flat view points into alive.
+  // The container every view points into: heap bytes the build wrote, or
+  // the bytes LoadFlat was given (mapped or read). mmap_ keeps them alive.
   std::shared_ptr<const MmapFile> mmap_;
+  std::span<const std::byte> container_;
 };
 
 // The persisted d=2 instantiations: the KWO2 flat root and its rank-cell

@@ -68,8 +68,13 @@ class RrKwIndex {
         lifted[i][2 * dim + 1] = rects[i].hi[dim];
       }
     }
-    engine_.emplace(std::span<const Point<kLiftedDim, Scalar>>(lifted), corpus,
-                    options);
+    const std::span<const Point<kLiftedDim, Scalar>> points(lifted);
+    if constexpr (kLiftedDim <= 2) {
+      // The engine's container is the wrapper's, under the wrapper's tag.
+      engine_.emplace(points, corpus, options, nullptr, kFlatFamilyTag);
+    } else {
+      engine_.emplace(points, corpus, options);
+    }
   }
 
   int k() const { return engine_->k(); }
@@ -102,6 +107,12 @@ class RrKwIndex {
     requires(kLiftedDim <= 2)
   {
     engine_->SaveFlat(out, family_tag);
+  }
+
+  std::span<const std::byte> flat_container() const
+    requires(kLiftedDim <= 2)
+  {
+    return engine_->flat_container();
   }
 
   static RrKwIndex LoadFlat(std::shared_ptr<const MmapFile> file,

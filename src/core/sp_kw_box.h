@@ -64,19 +64,28 @@ class SpKwBoxIndex {
     return q.Satisfies(p);
   }
 
+  /// Builds the index over `points` (one per corpus object). The build
+  /// writes the flat container once and attaches it through LoadFlat, so a
+  /// built index is a loaded one.
   SpKwBoxIndex(std::span<const PointType> points, const Corpus* corpus,
                FrameworkOptions options)
       : corpus_(corpus), options_(options) {
-    points_.Assign(std::vector<PointType>(points.begin(), points.end()));
     KWSC_CHECK(corpus != nullptr);
     KWSC_CHECK(points.size() == corpus->num_objects());
     CheckKeywordArity(options_.k);
-    if (!points_.empty()) {
-      std::vector<ObjectId> active(points_.size());
+    points_.Attach(points);
+    BuildArena arena;
+    if (!points.empty()) {
+      std::vector<ObjectId> active(points.size());
       std::iota(active.begin(), active.end(), 0);
       DirectoryBuilder builder(corpus_, options_);
-      BuildNode(&active, Box<D, Scalar>::Everything(), 0, nullptr, &builder);
+      BuildNode(&active, Box<D, Scalar>::Everything(), 0, nullptr, &builder,
+                &arena);
     }
+    *this = LoadFlat(SaveFlat(arena), corpus);
+    // The container round-trips every persisted field; the execution
+    // knobs it does not store stay the caller's.
+    options_ = options;
   }
 
   int k() const { return options_.k; }
@@ -128,17 +137,18 @@ class SpKwBoxIndex {
     return found >= t || budget.Exhausted();
   }
 
+  /// The node arena, and the container when it lives on the heap.
   size_t MemoryBytes() const {
-    size_t total = points_.MemoryBytes() + nodes_.capacity() * sizeof(Node);
-    for (const Node& node : nodes_) total += node.dir.MemoryBytes();
-    return total;
+    const bool heap = mmap_ != nullptr && !mmap_->used_mmap();
+    return nodes_.capacity() * sizeof(Node) + (heap ? container_.size() : 0);
   }
 
-  // ---- Persistence: the v2 flat layout, same scheme as OrpKwIndex, with
-  // original-space points in place of the rank tables (DESIGN.md "On-disk
-  // layout v2"). The corpus is saved separately and re-supplied on
-  // LoadFlat. Wrapper families (SR-KW, and LC-KW for D >= 2 via the alias)
-  // reuse the container under their own family tag. ----
+  // ---- Persistence: the v2 flat layout, same scheme as OrpKwIndex (a
+  // build attaches the container it writes; SaveFlat writes the held
+  // bytes), with original-space points in place of the rank tables
+  // (DESIGN.md "On-disk layout v2"). The corpus is saved separately and
+  // re-supplied on LoadFlat. Wrapper families (SR-KW, and LC-KW for D >= 2
+  // via the alias) reuse the container under their own family tag. ----
 
   static constexpr uint32_t kFlatFamilyTag = FlatFamilyTag('K', 'W', 'S', '2');
 
@@ -153,38 +163,42 @@ class SpKwBoxIndex {
     FlatDirPools dir_pools;
   };
 
+  /// Writes the container this index holds under `family_tag`.
   void SaveFlat(std::ostream* out, uint32_t family_tag = kFlatFamilyTag) const {
-    FlatArenaWriter writer(family_tag);
+    WriteFlatContainer(container_, family_tag, out);
+  }
+
+  /// The held container's bytes: SaveFlat's output under the tag the
+  /// index was built or loaded with.
+  std::span<const std::byte> flat_container() const { return container_; }
+
+ private:
+  // A tree under construction: node records in DFS preorder and the
+  // directory pools they index, as the container stores them.
+  struct BuildArena {
+    std::vector<FlatNodeRec<Box<D, Scalar>>> recs;
+    FlatDirPoolWriter pools;
+  };
+
+  // Writes a fresh build's container: the points this index holds, then
+  // the arena's records and pools.
+  std::shared_ptr<const MmapFile> SaveFlat(const BuildArena& arena) const {
+    FlatArenaWriter writer(kFlatFamilyTag);
     FlatRoot root;
     std::memset(static_cast<void*>(&root), 0, sizeof(root));  // padding must be deterministic
     root.dim = static_cast<uint32_t>(D);
-    root.options.k = options_.k;
-    root.options.alpha = options_.alpha;
-    root.options.leaf_objects = options_.leaf_objects;
-    root.options.enable_tuple_pruning = options_.enable_tuple_pruning;
-    root.options.enable_materialized_lists = options_.enable_materialized_lists;
-    root.options.exact_cell_tests = options_.exact_cell_tests;
+    PersistFrameworkOptions(options_, &root.options);
     root.num_objects = corpus_->num_objects();
     root.total_weight = corpus_->total_weight();
     root.points = writer.Slab(points_.view());
-
-    FlatDirPoolWriter pools;
-    std::vector<FlatNodeRec<Box<D, Scalar>>> recs(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      FlatNodeRec<Box<D, Scalar>>& rec = recs[i];
-      std::memset(static_cast<void*>(&rec), 0, sizeof(rec));
-      rec.cell = nodes_[i].cell;
-      rec.child[0] = nodes_[i].child[0];
-      rec.child[1] = nodes_[i].child[1];
-      rec.level = nodes_[i].level;
-      pools.Append(nodes_[i].dir, &rec);
-    }
+    const std::span<const FlatNodeRec<Box<D, Scalar>>> recs = arena.recs;
     root.nodes = writer.Slab<FlatNodeRec<Box<D, Scalar>>>(recs);
-    root.dir_pools = pools.WriteSlabs(&writer);
+    root.dir_pools = arena.pools.WriteSlabs(&writer);
     writer.Root(root);
-    writer.WriteTo(out);
+    return writer.ToFile();
   }
 
+ public:
   static SpKwBoxIndex LoadFlat(std::shared_ptr<const MmapFile> file,
                                const Corpus* corpus, uint64_t offset = 0,
                                uint32_t expected_tag = kFlatFamilyTag) {
@@ -193,43 +207,25 @@ class SpKwBoxIndex {
     const FlatErrorSink sink = AbortingFlatErrorSink();
     const FlatArenaReader reader(*file, offset, expected_tag);
     const FlatRoot& root = reader.template Root<FlatRoot>();
-    KWSC_CHECK_MSG(root.dim == static_cast<uint32_t>(D),
-                   "index dimensionality mismatch");
+    FlatDirPoolReader pools;
+    KWSC_CHECK(CheckRoot(reader, root, sink, &pools));
     KWSC_CHECK_MSG(root.num_objects == corpus->num_objects(),
                    "corpus object count mismatch");
     KWSC_CHECK_MSG(root.total_weight == corpus->total_weight(),
                    "corpus weight mismatch");
-
-    CheckKeywordArity(root.options.k);
     SpKwBoxIndex index(corpus);
-    index.options_.k = root.options.k;
-    index.options_.alpha = root.options.alpha;
-    index.options_.leaf_objects = root.options.leaf_objects;
-    index.options_.enable_tuple_pruning = root.options.enable_tuple_pruning;
-    index.options_.enable_materialized_lists =
-        root.options.enable_materialized_lists;
-    index.options_.exact_cell_tests = root.options.exact_cell_tests;
-    KWSC_CHECK(reader.SlabOk<PointType>(root.points) &&
-               root.points.count == root.num_objects);
+    index.options_ = RestoreFrameworkOptions(root.options);
     index.points_.Attach(reader.Slab<PointType>(root.points));
 
-    FlatDirPoolReader pools;
-    KWSC_CHECK(pools.Init(reader, root.dir_pools, root.num_objects, sink));
     const auto recs = reader.Slab<FlatNodeRec<Box<D, Scalar>>>(root.nodes);
-    index.nodes_.resize(recs.size());
-    const auto attach = [&](size_t i, const FlatDirView& view) {
-      Node& node = index.nodes_[i];
-      node.cell = recs[i].cell;
-      node.child[0] = recs[i].child[0];
-      node.child[1] = recs[i].child[1];
-      node.level = recs[i].level;
-      node.dir.AttachFlat(view);
-    };
-    KWSC_CHECK(ValidateFlatTreeShallow(recs, pools, sink, attach));
+    KWSC_CHECK(AttachFlatNodes(recs, pools, sink, &index.nodes_));
+    index.container_ = {file->data() + offset, reader.total_bytes()};
     index.mmap_ = std::move(file);
     return index;
   }
 
+  /// LoadFlat's checks plus canonical sort orders, through `sink`; never
+  /// aborts (see OrpKwIndex::ValidateFlat).
   static bool ValidateFlat(const MmapFile& file, uint64_t offset,
                            uint32_t expected_tag, const FlatErrorSink& sink) {
     if (!FlatArenaReader::Validate(file, offset, expected_tag, sink)) {
@@ -241,36 +237,12 @@ class SpKwBoxIndex {
       return false;
     }
     const FlatRoot& root = reader.template Root<FlatRoot>();
-    if (root.dim != static_cast<uint32_t>(D)) {
-      sink("flat root dimensionality mismatch");
-      return false;
-    }
-    bool ok = true;
-    if (root.options.k < 2 || root.options.k > kMaxQueryKeywords) {
-      sink("flat root k " + std::to_string(root.options.k) +
-           " outside [2, 8]");
-      ok = false;
-    }
-    if (!reader.SlabOk<PointType>(root.points) ||
-        root.points.count != root.num_objects) {
-      sink("flat point slab out of bounds or cardinality mismatch");
-      ok = false;
-    }
     FlatDirPoolReader pools;
-    if (!pools.Init(reader, root.dir_pools, root.num_objects, sink)) {
-      return false;
-    }
-    if (!reader.SlabOk<FlatNodeRec<Box<D, Scalar>>>(root.nodes)) {
-      sink("flat node slab out of bounds");
-      return false;
-    }
+    if (!CheckRoot(reader, root, sink, &pools)) return false;
     const auto recs = reader.Slab<FlatNodeRec<Box<D, Scalar>>>(root.nodes);
-    if (!ValidateFlatTreeShallow(recs, pools, sink,
-                                 [](size_t, const FlatDirView&) {})) {
-      ok = false;
-    }
-    if (!ValidateFlatTreeDeep(recs, pools, sink)) ok = false;
-    return ok;
+    std::vector<Node> nodes;
+    const bool shallow = AttachFlatNodes(recs, pools, sink, &nodes);
+    return ValidateFlatTreeDeep(recs, pools, sink) && shallow;
   }
 
  private:
@@ -280,6 +252,23 @@ class SpKwBoxIndex {
 
   // Shell constructor used by LoadFlat.
   explicit SpKwBoxIndex(const Corpus* corpus) : corpus_(corpus) {}
+
+  // The checks of every attach, LoadFlat's and ValidateFlat's alike: the
+  // shared tree-root checks, then the point slab and the node slab.
+  static bool CheckRoot(const FlatArenaReader& reader, const FlatRoot& root,
+                        const FlatErrorSink& sink, FlatDirPoolReader* pools) {
+    if (!CheckFlatTreeRoot(reader, root, D, sink, pools)) return false;
+    if (!reader.SlabOk<PointType>(root.points) ||
+        root.points.count != root.num_objects) {
+      sink("flat point slab out of bounds or cardinality mismatch");
+      return false;
+    }
+    if (!reader.SlabOk<FlatNodeRec<Box<D, Scalar>>>(root.nodes)) {
+      sink("flat node slab out of bounds");
+      return false;
+    }
+    return true;
+  }
 
   struct Node {
     Box<D, Scalar> cell;
@@ -291,14 +280,13 @@ class SpKwBoxIndex {
 
   uint32_t BuildNode(std::vector<ObjectId>* active, const Box<D, Scalar>& cell,
                      int level, const std::vector<KeywordId>* inherited,
-                     DirectoryBuilder* builder) {
-    const uint32_t index = static_cast<uint32_t>(nodes_.size());
-    nodes_.emplace_back();
-    nodes_[index].cell = cell;
-    nodes_[index].level = static_cast<int16_t>(level);
+                     DirectoryBuilder* builder, BuildArena* arena) {
+    const uint32_t index = static_cast<uint32_t>(arena->recs.size());
+    FlatNodeRec<Box<D, Scalar>>& rec =
+        AppendFlatNodeRec(cell, level, &arena->recs);
 
     if (active->size() <= static_cast<size_t>(options_.leaf_objects)) {
-      builder->BuildLeaf(*active, &nodes_[index].dir);
+      arena->pools.Append(builder->BuildLeaf(*active), &rec);
       return index;
     }
 
@@ -320,8 +308,10 @@ class SpKwBoxIndex {
     child_active[1].assign(active->begin() + median + 1, active->end());
 
     std::vector<KeywordId> next_inherited;
-    builder->Build(*active, child_active, inherited, {pivot},
-                   &nodes_[index].dir, &next_inherited);
+    arena->pools.Append(
+        builder->Build(*active, child_active, inherited,
+                       std::span<const ObjectId>(&pivot, 1), &next_inherited),
+        &rec);
     active->clear();
     active->shrink_to_fit();
 
@@ -338,15 +328,15 @@ class SpKwBoxIndex {
     if (!child_active[0].empty()) {
       left = static_cast<int32_t>(BuildNode(&child_active[0], left_cell,
                                             level + 1, &next_inherited,
-                                            builder));
+                                            builder, arena));
     }
     if (!child_active[1].empty()) {
       right = static_cast<int32_t>(BuildNode(&child_active[1], right_cell,
                                              level + 1, &next_inherited,
-                                             builder));
+                                             builder, arena));
     }
-    nodes_[index].child[0] = left;
-    nodes_[index].child[1] = right;
+    arena->recs[index].child[0] = left;
+    arena->recs[index].child[1] = right;
     return index;
   }
 
@@ -466,10 +456,12 @@ class SpKwBoxIndex {
 
   const Corpus* corpus_;
   FrameworkOptions options_;
-  // Owned after a build; a zero-copy view into mmap_ after LoadFlat.
-  OwnedSpan<PointType> points_;
+  SlabSpan<PointType> points_;
   std::vector<Node> nodes_;
+  // The container every view points into: heap bytes the build wrote, or
+  // the bytes LoadFlat was given (mapped or read). mmap_ keeps them alive.
   std::shared_ptr<const MmapFile> mmap_;
+  std::span<const std::byte> container_;
 };
 
 // The persisted d=2 instantiations: the KWS2 flat root and its box-cell

@@ -54,7 +54,20 @@ SpKwHsIndex::SpKwHsIndex(std::span<const PointType> points,
   std::vector<ObjectId> active(points_.size());
   std::iota(active.begin(), active.end(), 0);
   DirectoryBuilder builder(corpus_, options_);
-  BuildNode(&active, ConvexPolygon2D::FromBox(bounds), 0, nullptr, &builder);
+  FlatDirPoolWriter pools;
+  std::vector<DirRec> recs;
+  BuildNode(&active, ConvexPolygon2D::FromBox(bounds), 0, nullptr, &builder,
+            &pools, &recs);
+  // The pools are complete: freeze them and point each directory into them,
+  // range-checked as a flat load does.
+  pools_ = std::make_shared<const FlatDirPoolWriter>(std::move(pools));
+  const FlatDirPoolReader reader(*pools_);
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    FlatDirView view;
+    KWSC_CHECK(reader.MakeView(recs[i], static_cast<int64_t>(i), &view,
+                               AbortingFlatErrorSink()));
+    nodes_[i].dir = NodeDirectory(view);
+  }
 }
 
 uint64_t SpKwHsIndex::total_weight() const { return corpus_->total_weight(); }
@@ -62,14 +75,17 @@ uint64_t SpKwHsIndex::total_weight() const { return corpus_->total_weight(); }
 uint32_t SpKwHsIndex::BuildNode(std::vector<ObjectId>* active,
                                 ConvexPolygon2D cell, int level,
                                 const std::vector<KeywordId>* inherited,
-                                DirectoryBuilder* builder) {
+                                DirectoryBuilder* builder,
+                                FlatDirPoolWriter* pools,
+                                std::vector<DirRec>* recs) {
   const uint32_t index = static_cast<uint32_t>(nodes_.size());
   nodes_.emplace_back();
   nodes_[index].cell = std::move(cell);
   nodes_[index].level = static_cast<int16_t>(level);
+  recs->emplace_back();
 
   if (active->size() <= static_cast<size_t>(options_.leaf_objects)) {
-    builder->BuildLeaf(*active, &nodes_[index].dir);
+    pools->Append(builder->BuildLeaf(*active), &recs->back());
     return index;
   }
 
@@ -108,14 +124,15 @@ uint32_t SpKwHsIndex::BuildNode(std::vector<ObjectId>* active,
   // rather than recurse forever.
   for (const auto& ca : child_active) {
     if (ca.size() == active->size()) {
-      builder->BuildLeaf(*active, &nodes_[index].dir);
+      pools->Append(builder->BuildLeaf(*active), &recs->back());
       return index;
     }
   }
 
   std::vector<KeywordId> next_inherited;
-  builder->Build(*active, child_active, inherited, std::move(pivots),
-                 &nodes_[index].dir, &next_inherited);
+  pools->Append(builder->Build(*active, child_active, inherited, pivots,
+                               &next_inherited),
+                &recs->back());
   active->clear();
   active->shrink_to_fit();
 
@@ -133,7 +150,7 @@ uint32_t SpKwHsIndex::BuildNode(std::vector<ObjectId>* active,
     child_cell = child_cell.ClipBy((c & 1) ? above2 : below2);
     const int32_t child = static_cast<int32_t>(
         BuildNode(&child_active[c], std::move(child_cell), level + 1,
-                  &next_inherited, builder));
+                  &next_inherited, builder, pools, recs));
     nodes_[index].child[c] = child;
   }
   return index;
@@ -280,9 +297,8 @@ bool SpKwHsIndex::Exhaust(QueryStats* stats) {
 
 size_t SpKwHsIndex::MemoryBytes() const {
   size_t total = VectorBytes(points_) + nodes_.capacity() * sizeof(Node);
-  for (const Node& node : nodes_) {
-    total += node.dir.MemoryBytes() + node.cell.MemoryBytes();
-  }
+  if (pools_ != nullptr) total += pools_->MemoryBytes();
+  for (const Node& node : nodes_) total += node.cell.MemoryBytes();
   return total;
 }
 

@@ -16,10 +16,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/ops_budget.h"
+#include "core/flat_format.h"
 #include "core/framework.h"
 #include "core/node_directory.h"
 #include "geom/halfspace.h"
@@ -70,9 +72,18 @@ class SpKwHsIndex {
     }
   };
 
+  // A node's directory ranges in the pools: a flat node record's pool
+  // fields (FlatDirPoolWriter::Append fills them), a tuple slot per child.
+  struct DirRec {
+    uint16_t num_children;
+    uint32_t pivot_count, large_count, mat_count, tuple_count[kFanout];
+    uint64_t weight, pivot_begin, large_begin, mat_begin, tuple_begin[kFanout];
+  };
+
   uint32_t BuildNode(std::vector<ObjectId>* active, ConvexPolygon2D cell,
                      int level, const std::vector<KeywordId>* inherited,
-                     DirectoryBuilder* builder);
+                     DirectoryBuilder* builder, FlatDirPoolWriter* pools,
+                     std::vector<DirRec>* recs);
 
   // 0 = disjoint, 1 = crossing, 2 = cell inside the query region.
   static int Classify(const ConvexPolygon2D& cell, const QueryType& q);
@@ -93,6 +104,9 @@ class SpKwHsIndex {
   FrameworkOptions options_;
   std::vector<PointType> points_;
   std::vector<Node> nodes_;
+  // The directory pools every node's view points into. Immutable and
+  // shared, so a copied or moved index keeps its views valid.
+  std::shared_ptr<const FlatDirPoolWriter> pools_;
 };
 
 }  // namespace kwsc

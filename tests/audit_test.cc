@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <span>
 #include <sstream>
@@ -191,7 +192,7 @@ TEST(AuditCorruption, CorruptedWeightIsCaughtByWeightAccounting) {
   const auto pts = GridPoints(256);
   OrpKwIndex<2> index = BuildOrp(corpus, pts);
   auto& nodes = AuditAccess::MutableNodes(&index);
-  AuditAccess::MutableWeight(&nodes[0].dir) += 7;
+  AuditAccess::MutableView(&nodes[0].dir).weight += 7;
 
   const AuditReport report = AuditIndex(index, NoSerialization());
   EXPECT_TRUE(report.Has(AuditCheck::kWeightAccounting)) << report.ToString();
@@ -205,9 +206,13 @@ TEST(AuditCorruption, DuplicatedPivotBreaksDisjointness) {
   ASSERT_FALSE(nodes[0].IsLeaf());
   const ObjectId stolen = nodes[0].dir.pivots()[0];
   // Plant the root pivot into some leaf as well.
+  std::vector<ObjectId> planted;
   for (auto& node : nodes) {
     if (node.IsLeaf()) {
-      AuditAccess::MutablePivots(&node.dir).push_back(stolen);
+      auto& view = AuditAccess::MutableView(&node.dir);
+      planted.assign(view.pivots.begin(), view.pivots.end());
+      planted.push_back(stolen);
+      view.pivots = planted;
       break;
     }
   }
@@ -223,7 +228,8 @@ TEST(AuditCorruption, DroppedPivotBreaksCoverage) {
   auto& nodes = AuditAccess::MutableNodes(&index);
   for (auto& node : nodes) {
     if (node.IsLeaf() && !node.dir.pivots().empty()) {
-      AuditAccess::MutablePivots(&node.dir).pop_back();
+      auto& view = AuditAccess::MutableView(&node.dir);
+      view.pivots = view.pivots.first(view.pivots.size() - 1);
       break;
     }
   }
@@ -239,8 +245,16 @@ TEST(AuditCorruption, BogusMaterializedListIsCaught) {
   auto& nodes = AuditAccess::MutableNodes(&index);
   ASSERT_FALSE(nodes[0].IsLeaf());
   // Keyword 0 occurs in every document, so it is large at the root — a
-  // materialized list for it is wrong by construction.
-  AuditAccess::MutableMaterialized(&nodes[0].dir)[KeywordId{0}].push_back(0);
+  // materialized list for it is wrong by construction. Keyword 0 sorts
+  // first, so the bogus entry leads the re-pointed entries.
+  auto& view = AuditAccess::MutableView(&nodes[0].dir);
+  std::vector<ObjectId> pool(view.mat_pool.begin(), view.mat_pool.end());
+  pool.push_back(0);
+  std::vector<FlatMatEntry> entries = {{KeywordId{0}, 1, pool.size() - 1}};
+  entries.insert(entries.end(), view.materialized.begin(),
+                 view.materialized.end());
+  view.mat_pool = pool;
+  view.materialized = entries;
 
   const AuditReport report = AuditIndex(index, NoSerialization());
   EXPECT_TRUE(report.Has(AuditCheck::kDirectoryMaterialized))
@@ -253,9 +267,13 @@ TEST(AuditCorruption, InsertedPhantomTupleIsCaught) {
   OrpKwIndex<2> index = BuildOrp(corpus, pts);
   auto& nodes = AuditAccess::MutableNodes(&index);
   ASSERT_FALSE(nodes[0].IsLeaf());
-  auto& registries = AuditAccess::MutableChildTuples(&nodes[0].dir);
-  ASSERT_FALSE(registries.empty());
-  registries[0].Insert(0xDEADBEEFull);
+  auto& view = AuditAccess::MutableView(&nodes[0].dir);
+  ASSERT_GT(view.num_children, 0u);
+  std::vector<uint64_t> keys(view.child_tuples[0].begin(),
+                             view.child_tuples[0].end());
+  keys.insert(std::upper_bound(keys.begin(), keys.end(), 0xDEADBEEFull),
+              0xDEADBEEFull);
+  view.child_tuples[0] = keys;
 
   const AuditReport report = AuditIndex(index, NoSerialization());
   EXPECT_TRUE(report.Has(AuditCheck::kDirectoryTuples)) << report.ToString();
@@ -267,13 +285,13 @@ TEST(AuditCorruption, DroppedTupleRegistryIsCaught) {
   OrpKwIndex<2> index = BuildOrp(corpus, pts);
   auto& nodes = AuditAccess::MutableNodes(&index);
   ASSERT_FALSE(nodes[0].IsLeaf());
-  auto& registries = AuditAccess::MutableChildTuples(&nodes[0].dir);
-  ASSERT_FALSE(registries.empty());
+  auto& view = AuditAccess::MutableView(&nodes[0].dir);
+  ASSERT_GT(view.num_children, 0u);
   // Every document carries {0, 1}, both large at the root, so the pair
   // tuple is realized in every non-empty child: emptying the registry must
   // lose it.
-  ASSERT_FALSE(registries[0].empty());
-  registries[0] = {};
+  ASSERT_FALSE(view.child_tuples[0].empty());
+  view.child_tuples[0] = {};
 
   const AuditReport report = AuditIndex(index, NoSerialization());
   EXPECT_TRUE(report.Has(AuditCheck::kDirectoryTuples)) << report.ToString();

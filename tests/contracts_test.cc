@@ -255,7 +255,6 @@ static_assert(
                      std::declval<std::span<const uint64_t>>())),
                  HamSandwichCut>);
 
-static_assert(MemoryAccounted<NodeDirectory>);
 static_assert(MemoryAccounted<RankSpace<2, double>>);
 
 static_assert(SelfPersistable<Corpus>);

@@ -354,8 +354,8 @@ void LoadCheckpointBytes(const std::string& bytes) {
   auto loaded = DynamicIndex<OrpKwIndex<2>>::LoadCheckpoint(&in);
 }
 
-// A loaded level keeps its container on the heap, and MemoryBytes charges it
-// on top of what the level's corpus and index own.
+// A loaded level keeps its container on the heap: the level's index holds
+// the stored bytes, charges them, and MemoryBytes counts that index.
 TEST(DynamicIndexCheckpoint, LoadedLevelChargesItsContainer) {
   size_t at = 0;
   const std::string bytes = OneLevelCheckpoint(&at);
@@ -364,11 +364,11 @@ TEST(DynamicIndexCheckpoint, LoadedLevelChargesItsContainer) {
   const auto view = loaded->DebugAuditView();
   ASSERT_EQ(view.levels.size(), 1u);
   const auto& level = *view.levels[0];
-  ASSERT_NE(level.file, nullptr);
-  EXPECT_EQ(level.file->size(), bytes.size() - at);
-  EXPECT_GE(loaded->MemoryBytes(), level.file->size() +
-                                       level.corpus->MemoryBytes() +
-                                       level.index->MemoryBytes());
+  const size_t container = level.index->flat_container().size();
+  EXPECT_EQ(container, bytes.size() - at);
+  EXPECT_GE(level.index->MemoryBytes(), container);
+  EXPECT_GE(loaded->MemoryBytes(),
+            level.corpus->MemoryBytes() + level.index->MemoryBytes());
 }
 
 // A level's container comes from the file, so it gets the static load's

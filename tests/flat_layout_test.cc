@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -272,6 +274,106 @@ TEST(FlatLayout, EmptyCorpusRoundTrips) {
       OrpKwIndex<2>::LoadFlat(SaveFlatToFile(built), &corpus);
   const std::vector<KeywordId> kws = {0, 1};
   EXPECT_TRUE(loaded.Query(Box<2>::Everything(), kws).empty());
+}
+
+// ---- A built index is its container ----
+
+// A build writes its container and attaches it the way LoadFlat does, so
+// the built index and its SaveFlat bytes loaded from the heap are the same
+// object: equal memory charge, equal bytes, and equal answers — checked
+// against brute force — on one batch.
+template <typename Index, typename Region>
+void ExpectBuiltIsLoaded(const Index& built, const Corpus& corpus,
+                         std::span<const Region> regions,
+                         const std::function<bool(const Region&, ObjectId)>&
+                             matches) {
+  const std::string bytes = SaveFlatToBytes(built);
+  const Index loaded = Index::LoadFlat(MmapFile::FromBytes(bytes), &corpus);
+  EXPECT_EQ(built.MemoryBytes(), loaded.MemoryBytes());
+  EXPECT_GE(built.MemoryBytes(), bytes.size());
+  EXPECT_EQ(SaveFlatToBytes(loaded), bytes);
+  Rng rng(7);
+  for (const Region& region : regions) {
+    const auto kws =
+        PickQueryKeywords(corpus, 2, KeywordPick::kCooccurring, &rng);
+    std::vector<ObjectId> want;
+    for (ObjectId e = 0; e < corpus.num_objects(); ++e) {
+      if (matches(region, e) && corpus.ContainsAll(e, kws)) want.push_back(e);
+    }
+    std::vector<ObjectId> got = built.Query(region, kws);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(loaded.Query(region, kws), built.Query(region, kws));
+  }
+}
+
+TEST(FlatLayout, BuiltOrpKwIsItsLoadedContainer) {
+  Workload w = MakeWorkload(700, 71);
+  std::vector<Box<2>> boxes;
+  for (int i = 0; i < 24; ++i) {
+    boxes.push_back(GenerateBoxQuery(std::span<const Point<2>>(w.pts),
+                                     i % 2 == 0 ? 0.05 : 0.4, &w.rng));
+  }
+  const OrpKwIndex<2> built(w.pts, &w.corpus, w.opt);
+  ExpectBuiltIsLoaded<OrpKwIndex<2>, Box<2>>(
+      built, w.corpus, boxes,
+      [&](const Box<2>& q, ObjectId e) { return q.Contains(w.pts[e]); });
+
+  const auto pts1 =
+      GeneratePoints<1>(w.pts.size(), PointDistribution::kUniform, &w.rng);
+  std::vector<Box<1>> ranges;
+  for (int i = 0; i < 24; ++i) {
+    ranges.push_back(GenerateBoxQuery(std::span<const Point<1>>(pts1),
+                                      i % 2 == 0 ? 0.05 : 0.4, &w.rng));
+  }
+  const OrpKwIndex<1> built1(pts1, &w.corpus, w.opt);
+  ExpectBuiltIsLoaded<OrpKwIndex<1>, Box<1>>(
+      built1, w.corpus, ranges,
+      [&](const Box<1>& q, ObjectId e) { return q.Contains(pts1[e]); });
+}
+
+TEST(FlatLayout, BuiltSpKwBoxIsItsLoadedContainer) {
+  Workload w = MakeWorkload(600, 73);
+  std::vector<ConvexQuery<2>> queries(24);
+  for (ConvexQuery<2>& q : queries) {
+    q.constraints.push_back(GenerateHalfspaceQuery(
+        std::span<const Point<2>>(w.pts), w.rng.UniformDouble(0.2, 0.8),
+        &w.rng));
+  }
+  const SpKwBoxIndex<2> built(w.pts, &w.corpus, w.opt);
+  ExpectBuiltIsLoaded<SpKwBoxIndex<2>, ConvexQuery<2>>(
+      built, w.corpus, queries, [&](const ConvexQuery<2>& q, ObjectId e) {
+        return q.Satisfies(w.pts[e]);
+      });
+}
+
+TEST(FlatLayout, BuiltSrpKwIsItsLoadedContainer) {
+  Workload w = MakeWorkload(500, 79);
+  const SrpKwIndex<2> built(w.pts, &w.corpus, w.opt);
+  const std::string bytes = SaveFlatToBytes(built);
+  const auto loaded = SrpKwIndex<2>::LoadFlat(MmapFile::FromBytes(bytes),
+                                              &w.corpus);
+  EXPECT_EQ(built.MemoryBytes(), loaded.MemoryBytes());
+  EXPECT_GE(built.MemoryBytes(), bytes.size());
+  EXPECT_EQ(SaveFlatToBytes(loaded), bytes);
+  for (int trial = 0; trial < 24; ++trial) {
+    const Point<2> c{{w.rng.NextDouble(), w.rng.NextDouble()}};
+    const double r_sq = w.rng.UniformDouble(0.01, 0.2);
+    const auto kws =
+        PickQueryKeywords(w.corpus, 2, KeywordPick::kCooccurring, &w.rng);
+    std::vector<ObjectId> want;
+    for (ObjectId e = 0; e < w.corpus.num_objects(); ++e) {
+      const double dx = w.pts[e][0] - c[0];
+      const double dy = w.pts[e][1] - c[1];
+      if (dx * dx + dy * dy <= r_sq && w.corpus.ContainsAll(e, kws)) {
+        want.push_back(e);
+      }
+    }
+    std::vector<ObjectId> got = built.Query(c, r_sq, kws);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(loaded.Query(c, r_sq, kws), built.Query(c, r_sq, kws));
+  }
 }
 
 // ---- ValidateFlat as a non-aborting checker ----

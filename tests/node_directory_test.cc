@@ -10,12 +10,42 @@
 #include <set>
 
 #include "common/random.h"
+#include "core/flat_format.h"
 #include "core/node_directory.h"
+#include "geom/box.h"
 #include "text/corpus.h"
 #include "workload/generator.h"
 
 namespace kwsc {
 namespace {
+
+// One node's directory as an index holds it: the builder's output appended
+// to a pool set, and a view over those pools.
+struct BuiltDirectory {
+  FlatDirPoolWriter pools;
+  NodeDirectory dir;
+
+  BuiltDirectory(const BuiltDirectory&) = delete;
+  explicit BuiltDirectory(const DirectoryContents& contents) {
+    FlatNodeRec<Box<1>> rec{};
+    pools.Append(contents, &rec);
+    FlatDirView view;
+    EXPECT_TRUE(FlatDirPoolReader(pools).MakeView(rec, 0, &view,
+                                                  AbortingFlatErrorSink()));
+    dir = NodeDirectory(view);
+  }
+};
+
+// DirectoryBuilder::Build, held as a directory.
+BuiltDirectory Build(DirectoryBuilder* builder,
+                     std::span<const ObjectId> active,
+                     std::span<const std::vector<ObjectId>> children,
+                     const std::vector<KeywordId>* inherited,
+                     std::vector<ObjectId> pivots,
+                     std::vector<KeywordId>* next_inherited) {
+  return BuiltDirectory(
+      builder->Build(active, children, inherited, pivots, next_inherited));
+}
 
 Corpus MakeCorpus() {
   // Keyword 0 appears in 6 of 8 docs (large at most thresholds); keyword 9
@@ -70,9 +100,10 @@ TEST(DirectoryBuilder, LargeClassificationFollowsThreshold) {
   std::vector<std::vector<ObjectId>> children(2);
   children[0] = {0, 1, 2, 3};
   children[1] = {4, 5, 6};
-  NodeDirectory dir;
   std::vector<KeywordId> next;
-  builder.Build(active, children, nullptr, {7}, &dir, &next);
+  const BuiltDirectory built =
+      Build(&builder, active, children, nullptr, {7}, &next);
+  const NodeDirectory& dir = built.dir;
   EXPECT_EQ(dir.weight(), corpus.total_weight());
   // Keyword 0 occurs 6 times >= 4.12: large. All others occur <= 2: small.
   EXPECT_EQ(dir.num_large(), 1u);
@@ -91,8 +122,9 @@ TEST(DirectoryBuilder, MaterializesSmallInheritedKeywordsExcludingPivots) {
   std::vector<std::vector<ObjectId>> children(2);
   children[0] = {0, 1, 2, 3};
   children[1] = {4, 5, 6};
-  NodeDirectory dir;
-  builder.Build(active, children, nullptr, {7}, &dir, nullptr);
+  const BuiltDirectory built =
+      Build(&builder, active, children, nullptr, {7}, nullptr);
+  const NodeDirectory& dir = built.dir;
   // Keyword 1 (small, inherited-at-root) occurs in objects 0 and 3.
   const auto list1 = dir.MaterializedList(1);
   ASSERT_TRUE(list1.has_value());
@@ -115,8 +147,9 @@ TEST(DirectoryBuilder, InheritedFilterRestrictsClassification) {
   children[0] = active;
   // Only keyword 2 is inherited: keyword 0 must be invisible here.
   std::vector<KeywordId> inherited = {2};
-  NodeDirectory dir;
-  builder.Build(active, children, &inherited, {}, &dir, nullptr);
+  const BuiltDirectory built =
+      Build(&builder, active, children, &inherited, {}, nullptr);
+  const NodeDirectory& dir = built.dir;
   EXPECT_EQ(dir.LargeId(0), -1);
   const auto list = dir.MaterializedList(2);
   ASSERT_TRUE(list.has_value());
@@ -145,8 +178,9 @@ TEST(DirectoryBuilder, TupleRegistryMatchesBruteForce) {
     std::iota(active.begin(), active.end(), 0);
     std::vector<std::vector<ObjectId>> children(2);
     for (ObjectId e : active) children[e % 2].push_back(e);
-    NodeDirectory dir;
-    builder.Build(active, children, nullptr, {}, &dir, nullptr);
+      const BuiltDirectory built =
+        Build(&builder, active, children, nullptr, {}, nullptr);
+    const NodeDirectory& dir = built.dir;
 
     // Collect the large keywords with their lids.
     std::vector<std::pair<KeywordId, uint32_t>> larges;
@@ -185,8 +219,9 @@ TEST(DirectoryBuilder, ResolveLargeFillsCanonicalLids) {
   std::vector<ObjectId> active = {0, 1, 2, 3};
   std::vector<std::vector<ObjectId>> children(1);
   children[0] = active;
-  NodeDirectory dir;
-  builder.Build(active, children, nullptr, {}, &dir, nullptr);
+  const BuiltDirectory built =
+      Build(&builder, active, children, nullptr, {}, nullptr);
+  const NodeDirectory& dir = built.dir;
   std::vector<KeywordId> sorted_kws = {0, 2, 4};
   uint32_t lids[3];
   KeywordId small = 0;
@@ -207,8 +242,9 @@ TEST(DirectoryBuilder, ResolveLargeReportsFirstSmall) {
   std::iota(active.begin(), active.end(), 0);
   std::vector<std::vector<ObjectId>> children(1);
   children[0] = active;
-  NodeDirectory dir;
-  builder.Build(active, children, nullptr, {}, &dir, nullptr);
+  const BuiltDirectory built =
+      Build(&builder, active, children, nullptr, {}, nullptr);
+  const NodeDirectory& dir = built.dir;
   std::vector<KeywordId> kws = {0, 9};  // 0 large, 9 small.
   uint32_t lids[2];
   KeywordId small = 99;
@@ -222,8 +258,8 @@ TEST(DirectoryBuilder, LeafStoresWholeActiveSetAsPivots) {
   opt.k = 2;
   DirectoryBuilder builder(&corpus, opt);
   std::vector<ObjectId> active = {2, 5, 6};
-  NodeDirectory dir;
-  builder.BuildLeaf(active, &dir);
+  const BuiltDirectory built(builder.BuildLeaf(active));
+  const NodeDirectory& dir = built.dir;
   EXPECT_EQ(std::vector<ObjectId>(dir.pivots().begin(), dir.pivots().end()),
             active);
   EXPECT_EQ(dir.weight(), 6u);
@@ -241,8 +277,9 @@ TEST(DirectoryBuilder, TuplePruningDisabledBuildsNoRegistry) {
   std::vector<std::vector<ObjectId>> children(2);
   children[0] = {0, 1, 2, 3};
   children[1] = {4, 5, 6, 7};
-  NodeDirectory dir;
-  builder.Build(active, children, nullptr, {}, &dir, nullptr);
+  const BuiltDirectory built =
+      Build(&builder, active, children, nullptr, {}, nullptr);
+  const NodeDirectory& dir = built.dir;
   EXPECT_EQ(dir.num_children(), 2u);  // Slots exist but stay empty.
 }
 

@@ -7,23 +7,27 @@ Run from anywhere inside a checkout:
     python3 tools/perf_pairs.py --parent HEAD~1 --workload dynamic_mixed \
         --pairs 10 --seconds 10 --seed 1 [--trace 1]
 
-The parent revision is exported with `git archive` into a temporary
-directory (under $TMPDIR when set) and removed afterwards. Each side is
-built and run through its own perfbench/run.py, so each builds into its own
-checkout's .bench_build/; nothing is written under perfbench/. Every pair
-runs both sides once with the same seed, and the side that runs first
-alternates from pair to pair.
+--workload takes one workload, a comma-separated list, or `all` for every
+workload BENCHMARK.json declares; the workloads run one after another.
 
-The report gives, for every end-to-end metric BENCHMARK.json declares, each
-side's median and quartiles, the change/parent ratio of the medians, how
-many pairs the change won (by the metric's `better` direction), and whether
-the median moved by more than the parent's interquartile range. A median
-worse than the metric's bound is marked WORSE. With --trace 1 both sides
-run traced and the rows are the per-layer metrics instead (those the
-workload reports; they have no bound). Then it says whether the two sides'
-`counts` lines agree and lists the keys that differ, names any key whose
-value varied between the runs of one side, and gives how many operations
-failed on each side. Exit status: 0, or 1 when a run failed.
+The parent revision is exported once with `git archive` into a temporary
+directory (under $TMPDIR when set) and removed afterwards. Each side is
+built once and run through its own perfbench/run.py, so each builds into
+its own checkout's .bench_build/; nothing is written under perfbench/.
+Every pair runs both sides once with the same seed, and the side that runs
+first alternates from pair to pair.
+
+The report, one per workload, gives for every end-to-end metric
+BENCHMARK.json declares each side's median and quartiles, the change/parent
+ratio of the medians, how many pairs the change won (by the metric's
+`better` direction), and whether the median moved by more than the parent's
+interquartile range. A median worse than the metric's bound is marked
+WORSE. With --trace 1 both sides run traced and the rows are the per-layer
+metrics instead (those the workload reports; they have no bound). Then it
+says whether the two sides' `counts` lines agree and lists the keys that
+differ, names any key whose value varied between the runs of one side, and
+gives how many operations failed on each side. Exit status: 0, or 1 when
+any run failed.
 """
 
 import argparse
@@ -90,59 +94,41 @@ def quartiles(values):
     return q[0], q[2]
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", required=True,
-                        help="git revision to compare against")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--trace", type=int, choices=[0, 1], default=0,
-                        help="1: run traced, report the per-layer metrics")
-    args = parser.parse_args()
-
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["per_layer" if args.trace else "end_to_end"]
-
-    workdir = tempfile.mkdtemp(prefix="perf_pairs_")
-    try:
-        sides = {"parent": runner(export(args.parent, workdir), "parent"),
-                 "change": runner(ROOT, "change")}
-        values = {side: {m["name"]: [] for m in metrics} for side in sides}
-        counts = {side: None for side in sides}
-        varying = {side: set() for side in sides}
-        failed = {side: 0 for side in sides}
-        status = 0
-        for pair in range(args.pairs):
-            order = ["parent", "change"] if pair % 2 == 0 else [
-                "change", "parent"]
-            results = {}
-            for side in order:
-                code, output = sides[side].run(args.workload, args.seed,
-                                               args.seconds, args.trace)
-                run_counts, result = parse(output)
-                if code != 0 or result is None or run_counts is None:
-                    print("pair %d: %s run exited %d" % (pair, side, code))
-                    status = 1
-                    continue
-                if counts[side] is None:
-                    counts[side] = run_counts
-                varying[side] |= differing_keys(counts[side], run_counts)
-                failed[side] += result.get("failed", 0)
-                results[side] = result["metrics"]
-            if len(results) == len(sides):  # Keep the pairs aligned.
-                for side, result in results.items():
-                    for m in metrics:
-                        values[side][m["name"]].append(
-                            result[m["name"]]["value"])
-            print("# pair %d/%d done" % (pair + 1, args.pairs),
-                  file=sys.stderr, flush=True)
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+def run_pairs(sides, workload, metrics, args):
+    """Runs `args.pairs` alternating pairs of `workload` and prints its
+    report. Returns 1 when a run failed, else 0."""
+    values = {side: {m["name"]: [] for m in metrics} for side in sides}
+    counts = {side: None for side in sides}
+    varying = {side: set() for side in sides}
+    failed = {side: 0 for side in sides}
+    status = 0
+    for pair in range(args.pairs):
+        order = ["parent", "change"] if pair % 2 == 0 else [
+            "change", "parent"]
+        results = {}
+        for side in order:
+            code, output = sides[side].run(workload, args.seed, args.seconds,
+                                           args.trace)
+            run_counts, result = parse(output)
+            if code != 0 or result is None or run_counts is None:
+                print("%s pair %d: %s run exited %d"
+                      % (workload, pair, side, code))
+                status = 1
+                continue
+            if counts[side] is None:
+                counts[side] = run_counts
+            varying[side] |= differing_keys(counts[side], run_counts)
+            failed[side] += result.get("failed", 0)
+            results[side] = result["metrics"]
+        if len(results) == len(sides):  # Keep the pairs aligned.
+            for side, result in results.items():
+                for m in metrics:
+                    values[side][m["name"]].append(result[m["name"]]["value"])
+        print("# %s pair %d/%d done" % (workload, pair + 1, args.pairs),
+              file=sys.stderr, flush=True)
 
     print("%s, seed %d, %d pairs of %g s %sruns, parent %s against this tree"
-          % (args.workload, args.seed, args.pairs, args.seconds,
+          % (workload, args.seed, args.pairs, args.seconds,
              "traced " if args.trace else "", args.parent))
     width = max(len(m["name"]) for m in metrics)
     print("%-*s %28s %28s %7s %6s %8s" % (
@@ -184,6 +170,44 @@ def main():
         if varying[side]:
             print("counts vary between the %s runs: %s"
                   % (side, ", ".join(sorted(varying[side]))))
+    return status
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True,
+                        help="git revision to compare against")
+    parser.add_argument("--workload", required=True,
+                        help="a workload, a comma-separated list, or all")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--trace", type=int, choices=[0, 1], default=0,
+                        help="1: run traced, report the per-layer metrics")
+    args = parser.parse_args()
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        benchmark = json.load(f)
+    metrics = benchmark["per_layer" if args.trace else "end_to_end"]
+    declared = [w["name"] for w in benchmark["workloads"]]
+    workloads = (declared if args.workload == "all"
+                 else [w for w in args.workload.split(",") if w])
+    unknown = [w for w in workloads if w not in declared]
+    if unknown or not workloads:
+        sys.exit("perf_pairs: unknown workload %s (declared: %s)"
+                 % (", ".join(unknown) or "''", ", ".join(declared)))
+
+    workdir = tempfile.mkdtemp(prefix="perf_pairs_")
+    status = 0
+    try:
+        sides = {"parent": runner(export(args.parent, workdir), "parent"),
+                 "change": runner(ROOT, "change")}
+        for i, workload in enumerate(workloads):
+            if i > 0:
+                print()
+            status |= run_pairs(sides, workload, metrics, args)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
     return status
 
 
