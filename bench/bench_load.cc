@@ -11,7 +11,9 @@
 //   * the file size (the space axis of the space<->latency curve),
 //   * query latency on the built index (its container on the heap) vs the
 //     flat-loaded one (the container mapped) — one representation, so the
-//     gap is placement and run-to-run spread — and
+//     gap is placement and run-to-run spread; the two alternate which is
+//     timed first, since the first of two back-to-back batches reads
+//     slower — and
 //   * full query-result equivalence between the built and the flat-loaded
 //     index, plus scalar-vs-AVX2 posting-list intersection equivalence. Any
 //     mismatch hard-fails the bench.
@@ -33,6 +35,7 @@
 #include "common/simd_intersect.h"
 #include "common/timer.h"
 #include "core/orp_kw.h"
+#include "obs/stats.h"
 #include "text/inverted_index.h"
 #include "workload/generator.h"
 
@@ -40,6 +43,8 @@ namespace kwsc {
 namespace {
 
 constexpr uint32_t kDefaultObjects = 65536;
+// Timed batches per index; even, so each side is timed first in half.
+constexpr int kQueryReps = 10;
 
 struct LoadSample {
   double mmap_ms = 0;
@@ -141,10 +146,21 @@ LoadSample MeasureOne(uint32_t n_objects, bench::JsonReport* report,
   CheckIntersectKernels(corpus, &rng);
 
   // The latency axis of the space<->latency curve: the same batch on the
-  // built (heap container) and the mmap-backed index.
-  sample.built_query_us = bench::MedianMicros([&] { RunBatch(built, batch); });
-  sample.flat_query_us =
-      bench::MedianMicros([&] { RunBatch(flat_loaded, batch); });
+  // built (heap container) and the mmap-backed index, each side's median
+  // over repetitions that alternate which side runs first.
+  const OrpKwIndex<2>* sides[2] = {&built, &flat_loaded};
+  std::vector<double> micros[2];
+  for (const OrpKwIndex<2>* side : sides) RunBatch(*side, batch);  // Warm-up.
+  for (int rep = 0; rep < kQueryReps; ++rep) {
+    for (int i = 0; i < 2; ++i) {
+      const int side = rep % 2 == 0 ? i : 1 - i;
+      WallTimer timer;
+      RunBatch(*sides[side], batch);
+      micros[side].push_back(timer.ElapsedMicros());
+    }
+  }
+  sample.built_query_us = obs::Median(std::move(micros[0]));
+  sample.flat_query_us = obs::Median(std::move(micros[1]));
 
   if (is_default) {
     report->SetGauge("flat.bytes_mapped", sample.flat_bytes);

@@ -2,7 +2,7 @@
 //
 // AuditAccess: the auditor's window into index internals.
 //
-// The indexes keep their node arenas and directories private — queries never
+// The indexes keep their nodes and directories private — queries never
 // need them — but the auditor must walk raw nodes, and the corruption
 // injection tests must *mutate* them to prove each violation class is
 // detected. Rather than widening every public API with debug accessors, each
@@ -17,15 +17,29 @@
 #ifndef KWSC_AUDIT_AUDIT_ACCESS_H_
 #define KWSC_AUDIT_AUDIT_ACCESS_H_
 
+#include <cstdint>
+#include <span>
+
+#include "common/macros.h"
+
 namespace kwsc {
 namespace audit {
 
 struct AuditAccess {
   // ---- Read-only views (auditor) ----
 
+  /// The node arena, or for OrpKwIndex and SpKwBoxIndex the node records
+  /// read in place from the container.
   template <typename Index>
   static const auto& Nodes(const Index& index) {
     return index.nodes_;
+  }
+
+  /// The directory T_u of one node record, as a view over the index's pools
+  /// (OrpKwIndex, SpKwBoxIndex).
+  template <typename Index, typename Rec>
+  static auto Directory(const Index& index, const Rec& node) {
+    return index.pools_.View(node);
   }
 
   template <typename Index>
@@ -81,16 +95,24 @@ struct AuditAccess {
 
   // ---- Mutable views (corruption-injection tests only) ----
 
+  /// The node arena (DimRedOrpKwIndex, KdTree, IntervalTree).
   template <typename Index>
   static auto& MutableNodes(Index* index) {
     return index->nodes_;
   }
 
-  /// A NodeDirectory's view: tests corrupt a directory by re-pointing its
-  /// spans at arrays they own.
-  template <typename Dir>
-  static auto& MutableView(Dir* dir) {
-    return dir->view_;
+  /// `part` — node records, or a range of a pool, as Nodes and Directory
+  /// return them — made writable, for an index (OrpKwIndex, SpKwBoxIndex)
+  /// whose container is its own heap buffer: the bytes a build wrote, never
+  /// a mapping. Tests corrupt the index by patching its container in place.
+  template <typename Index, typename T>
+  static std::span<T> MutableSlab(Index* index, std::span<const T> part) {
+    KWSC_CHECK(index->mmap_ != nullptr && !index->mmap_->used_mmap());
+    const auto base = reinterpret_cast<uintptr_t>(index->container_.data());
+    const auto at = reinterpret_cast<uintptr_t>(part.data());
+    KWSC_CHECK(at >= base &&
+               at - base + part.size_bytes() <= index->container_.size());
+    return {const_cast<T*>(part.data()), part.size()};
   }
 
   // ---- Detection probes (core/contracts.h) ----

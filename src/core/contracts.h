@@ -199,8 +199,9 @@ concept DynamizableFamily =
     };
 
 /// Registered with the runtime auditor by befriending audit::AuditAccess and
-/// exposing a node arena + options under the uniform member naming
-/// (nodes_/options_). Families that wrap another family whole (RR-KW,
+/// exposing its nodes + options under the uniform member naming
+/// (nodes_/options_): a node arena, or the node records a flat-container
+/// family (ORP-KW, SP-KW-Box) reads in place. Families that wrap another family whole (RR-KW,
 /// L∞NN-KW) are DelegatingAuditable instead: the auditor audits engine_.
 template <typename Index>
 concept DirectlyAuditable = requires(const Index& index) {

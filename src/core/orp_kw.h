@@ -10,14 +10,17 @@
 //     Section 3.2: an object counts |e.Doc| times), so N_u = O(N / 2^level);
 //   * the object whose coordinate defines the split line becomes the node's
 //     pivot set (it lies on the boundary of both child cells);
-//   * each node carries a NodeDirectory: large-keyword table, per-child
-//     non-empty k-tuple registry, and materialized lists.
+//   * each node carries its directory T_u (core/node_directory.h):
+//     large-keyword table, per-child non-empty k-tuple registry, and
+//     materialized lists.
 //
-// A query descends from the root while all k keywords remain large, pruning
-// children whose cells miss the query rectangle or whose k-tuple
-// intersection is empty; at the first node where a keyword turns small it
-// scans that keyword's materialized list (size < N_u^{1-1/k}) and stops.
-// Query time is O(N^{1-1/k} (1 + OUT^{1/k})) for d <= 2 (Theorem 1).
+// A query runs the framework descent (core/tree_descent.h) over the node
+// records with the rank-space cell and point tests: it descends from the
+// root while all k keywords remain large, pruning children whose cells miss
+// the query rectangle or whose k-tuple intersection is empty; at the first
+// node where a keyword turns small it scans that keyword's materialized list
+// (size < N_u^{1-1/k}) and stops. Query time is O(N^{1-1/k} (1 + OUT^{1/k}))
+// for d <= 2 (Theorem 1).
 //
 // The same code runs for any constant d; for d >= 3 the crossing-sensitivity
 // guarantee weakens (Section 3.5) and core/dim_reduction.h restores it.
@@ -31,7 +34,6 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -45,6 +47,7 @@
 #include "core/flat_format.h"
 #include "core/framework.h"
 #include "core/node_directory.h"
+#include "core/tree_descent.h"
 #include "geom/box.h"
 #include "geom/point.h"
 #include "geom/rank_space.h"
@@ -154,10 +157,15 @@ class OrpKwIndex {
                      std::span<const KeywordId> sorted_keywords, Emit&& emit,
                      QueryStats* stats = nullptr,
                      OpsBudget* budget = nullptr) const {
-    if (nodes_.empty() || !rq.Valid()) return;
-    OpsBudget unlimited;
-    if (budget == nullptr) budget = &unlimited;
-    Visit(0, rq, sorted_keywords, emit, stats, budget);
+    if (!rq.Valid()) return;
+    DescendTree(
+        nodes_, pools_, *corpus_, options_, sorted_keywords,
+        [rq](const RankBox& cell) { return cell.InsideOf(rq); },
+        [rq](const RankBox& cell) { return !cell.Intersects(rq); },
+        [rq, points = rank_points_.view()](ObjectId e) {
+          return rq.Contains(points[e]);
+        },
+        emit, stats, budget);
   }
 
   /// "Does q ∩ D(w1,...,wk) have at least t objects?" — the budgeted
@@ -209,30 +217,29 @@ class OrpKwIndex {
     return rank_points_[e];
   }
 
-  /// The node arena, the rank tables' bucket index, and the container when
-  /// it lives on the heap (a build's, or bytes read rather than mapped).
+  /// The rank tables' bucket index, and the container when it lives on the
+  /// heap (a build's, or bytes read rather than mapped).
   size_t MemoryBytes() const {
     const bool heap = mmap_ != nullptr && !mmap_->used_mmap();
-    return rank_.MemoryBytes() + nodes_.capacity() * sizeof(Node) +
-           (heap ? container_.size() : 0);
+    return rank_.MemoryBytes() + (heap ? container_.size() : 0);
   }
 
   /// Maximum node level (root = 0); the analysis expects O(log N).
   int Depth() const {
     int depth = 0;
-    for (const Node& node : nodes_) depth = std::max(depth, int{node.level});
+    for (const auto& node : nodes_) depth = std::max(depth, int{node.level});
     return depth;
   }
 
   // ---- Persistence: the v2 flat layout (common/flat_arena.h; DESIGN.md
   // "On-disk layout v2") is the index's only on-disk form and its only
   // in-memory form. A build writes one offset-addressed container; LoadFlat
-  // attaches one — header/structure validation and one pass over the
-  // object-id pools — keeping the bulk payload (rank tables, rank points,
-  // directory pools) in place and rebuilding only the O(num_nodes) arena,
-  // each directory a zero-copy view. SaveFlat writes the held bytes. The
-  // corpus is saved separately (Corpus::Save) and supplied again on
-  // LoadFlat; the object count and weight guard against a mismatch. ----
+  // attaches one — header/structure validation, one pass over the object-id
+  // pools and one over the node records — and builds nothing: queries read
+  // the rank tables, rank points, node records and directory pools in
+  // place. SaveFlat writes the held bytes. The corpus is saved separately
+  // (Corpus::Save) and supplied again on LoadFlat; the object count and
+  // weight guard against a mismatch. ----
 
   static constexpr uint32_t kFlatFamilyTag = FlatFamilyTag('K', 'W', 'O', '2');
 
@@ -300,8 +307,7 @@ class OrpKwIndex {
     const FlatArenaReader reader(*file, offset, expected_tag);
     const FlatRoot& root = reader.template Root<FlatRoot>();
     OrpKwIndex index(corpus);
-    FlatDirPoolReader pools;
-    KWSC_CHECK(CheckRoot(reader, root, sink, &index.rank_, &pools));
+    KWSC_CHECK(CheckRoot(reader, root, sink, &index.rank_, &index.pools_));
     KWSC_CHECK_MSG(root.num_objects == corpus->num_objects(),
                    "corpus object count mismatch");
     KWSC_CHECK_MSG(root.total_weight == corpus->total_weight(),
@@ -310,7 +316,8 @@ class OrpKwIndex {
     index.rank_points_.Attach(reader.Slab<Point<D, int64_t>>(root.rank_points));
 
     const auto recs = reader.Slab<FlatNodeRec<RankBox>>(root.nodes);
-    KWSC_CHECK(AttachFlatNodes(recs, pools, sink, &index.nodes_));
+    KWSC_CHECK(CheckFlatNodes(recs, index.pools_, sink));
+    index.nodes_ = recs;
     index.container_ = {file->data() + offset, reader.total_bytes()};
     index.mmap_ = std::move(file);
     return index;
@@ -336,14 +343,13 @@ class OrpKwIndex {
     FlatDirPoolReader pools;
     if (!CheckRoot(reader, root, sink, &rank, &pools)) return false;
     const auto recs = reader.Slab<FlatNodeRec<RankBox>>(root.nodes);
-    std::vector<Node> nodes;
-    const bool shallow = AttachFlatNodes(recs, pools, sink, &nodes);
+    const bool shallow = CheckFlatNodes(recs, pools, sink);
     return ValidateFlatTreeDeep(recs, pools, sink) && shallow;
   }
 
  private:
-  // The invariant auditor reads (and its tests corrupt) the node arena
-  // directly; see audit/audit_access.h.
+  // The invariant auditor reads the node records and directories (and its
+  // tests corrupt them) directly; see audit/audit_access.h.
   friend struct audit::AuditAccess;
 
   // Shell constructor used by LoadFlat.
@@ -370,14 +376,6 @@ class OrpKwIndex {
     }
     return true;
   }
-
-  struct Node {
-    RankBox cell;
-    NodeDirectory dir;
-    int32_t child[2] = {-1, -1};
-    int16_t level = 0;
-    bool IsLeaf() const { return child[0] < 0 && child[1] < 0; }
-  };
 
   // A node's active set viewed once per dimension, each view sorted by that
   // dimension's rank coordinate. Maintaining the D orders across splits
@@ -576,114 +574,15 @@ class OrpKwIndex {
     return index;
   }
 
-  template <typename Emit>
-  bool Visit(uint32_t node_index, const RankBox& rq,
-             std::span<const KeywordId> kws, Emit& emit, QueryStats* stats,
-             OpsBudget* budget) const {
-    const Node& node = nodes_[node_index];
-    const bool covered = node.cell.InsideOf(rq);
-    if (stats != nullptr) {
-      ++stats->nodes_visited;
-      covered ? ++stats->covered_nodes : ++stats->crossing_nodes;
-    }
-    if (!budget->Charge()) return Exhaust(stats);
-
-    // Examine the pivot set.
-    for (ObjectId e : node.dir.pivots()) {
-      if (!budget->Charge()) return Exhaust(stats);
-      if (stats != nullptr) {
-        ++stats->pivot_checks;
-        covered ? ++stats->covered_work : ++stats->crossing_work;
-      }
-      if (rq.Contains(rank_points_[e]) && corpus_->ContainsAll(e, kws)) {
-        if (stats != nullptr) ++stats->results;
-        if (!emit(e)) return false;
-      }
-    }
-    if (node.IsLeaf()) return true;
-
-    uint32_t lids[kMaxQueryKeywords];
-    KeywordId small_keyword = 0;
-    if (!node.dir.ResolveLarge(kws, lids, &small_keyword)) {
-      // Some query keyword is small at this node: its materialized list
-      // bounds the remaining work by N_u^{1-1/k} (Section 3.3).
-      if (options_.enable_materialized_lists) {
-        const std::optional<std::span<const ObjectId>> list =
-            node.dir.MaterializedList(small_keyword);
-        if (!list.has_value()) return true;  // Keyword absent below this node.
-        for (ObjectId e : *list) {
-          if (!budget->Charge()) return Exhaust(stats);
-          if (stats != nullptr) {
-            ++stats->list_scanned;
-            covered ? ++stats->covered_work : ++stats->crossing_work;
-          }
-          if (rq.Contains(rank_points_[e]) && corpus_->ContainsAll(e, kws)) {
-            if (stats != nullptr) ++stats->results;
-            if (!emit(e)) return false;
-          }
-        }
-        return true;
-      }
-      // Ablation mode (A2): no materialized lists — fall back to scanning
-      // the whole subtree, pruning by geometry only.
-      return ScanSubtree(node_index, rq, kws, emit, stats, budget);
-    }
-
-    for (int c = 0; c < 2; ++c) {
-      const int32_t child = node.child[c];
-      if (child < 0) continue;
-      // Pull the child node's line while the tuple registry is probed; the
-      // cell test and recursive visit touch it a few instructions later.
-      KWSC_PREFETCH(&nodes_[child]);
-      if (options_.enable_tuple_pruning &&
-          !node.dir.ChildTupleNonEmpty(c, {lids, kws.size()})) {
-        if (stats != nullptr) ++stats->tuple_pruned;
-        continue;
-      }
-      if (!nodes_[child].cell.Intersects(rq)) {
-        if (stats != nullptr) ++stats->geom_pruned;
-        continue;
-      }
-      if (!Visit(child, rq, kws, emit, stats, budget)) return false;
-    }
-    return true;
-  }
-
-  template <typename Emit>
-  bool ScanSubtree(uint32_t node_index, const RankBox& rq,
-                   std::span<const KeywordId> kws, Emit& emit,
-                   QueryStats* stats, OpsBudget* budget) const {
-    const Node& node = nodes_[node_index];
-    for (int c = 0; c < 2; ++c) {
-      const int32_t child = node.child[c];
-      if (child < 0) continue;
-      KWSC_PREFETCH(&nodes_[child]);
-      if (!nodes_[child].cell.Intersects(rq)) continue;
-      const Node& child_node = nodes_[child];
-      for (ObjectId e : child_node.dir.pivots()) {
-        if (!budget->Charge()) return Exhaust(stats);
-        if (stats != nullptr) ++stats->list_scanned;
-        if (rq.Contains(rank_points_[e]) && corpus_->ContainsAll(e, kws)) {
-          if (stats != nullptr) ++stats->results;
-          if (!emit(e)) return false;
-        }
-      }
-      if (!ScanSubtree(child, rq, kws, emit, stats, budget)) return false;
-    }
-    return true;
-  }
-
-  static bool Exhaust(QueryStats* stats) {
-    if (stats != nullptr) stats->budget_exhausted = true;
-    return false;
-  }
-
   const Corpus* corpus_;
   FrameworkOptions options_;
   RankSpace<D, Scalar> rank_;
   SlabSpan<Point<D, int64_t>> rank_points_;
-  std::vector<Node> nodes_;
-  // The container every view points into: heap bytes the build wrote, or
+  // The node records in DFS preorder and the directory pools they index,
+  // both read in place.
+  std::span<const FlatNodeRec<RankBox>> nodes_;
+  FlatDirPoolReader pools_;
+  // The container every span points into: heap bytes the build wrote, or
   // the bytes LoadFlat was given (mapped or read). mmap_ keeps them alive.
   std::shared_ptr<const MmapFile> mmap_;
   std::span<const std::byte> container_;

@@ -13,8 +13,9 @@
 //
 // Queries are conjunctions of halfspaces (a d-simplex is d+1 of them; an
 // LC-KW query supplies s of them directly, skipping the paper's
-// simplex-decomposition step without changing the answer). Cells are pruned
-// by exact corner tests against each halfspace.
+// simplex-decomposition step without changing the answer). They run the
+// framework descent (core/tree_descent.h) over the node records; cells are
+// pruned by exact corner tests against each halfspace.
 
 #ifndef KWSC_CORE_SP_KW_BOX_H_
 #define KWSC_CORE_SP_KW_BOX_H_
@@ -24,7 +25,6 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,6 +37,7 @@
 #include "core/flat_format.h"
 #include "core/framework.h"
 #include "core/node_directory.h"
+#include "core/tree_descent.h"
 #include "geom/box.h"
 #include "geom/halfspace.h"
 #include "geom/lp.h"
@@ -112,10 +113,12 @@ class SpKwBoxIndex {
                  OpsBudget* budget = nullptr) const {
     const SortedKeywords sorted =
         CanonicalizeQueryKeywords(keywords, options_.k);
-    if (nodes_.empty()) return;
-    OpsBudget unlimited;
-    if (budget == nullptr) budget = &unlimited;
-    Visit(0, q, sorted, emit, stats, budget);
+    DescendTree(
+        nodes_, pools_, *corpus_, options_, sorted,
+        [&](const Box<D, Scalar>& cell) { return Classify(cell, q) == 2; },
+        [&](const Box<D, Scalar>& cell) { return Classify(cell, q) == 0; },
+        [&](ObjectId e) { return q.Satisfies(points_[e]); }, emit, stats,
+        budget);
   }
 
   /// Budgeted "at least t results?" detection (used by the L2NN-KW binary
@@ -137,10 +140,10 @@ class SpKwBoxIndex {
     return found >= t || budget.Exhausted();
   }
 
-  /// The node arena, and the container when it lives on the heap.
+  /// The container when it lives on the heap; a mapped one charges nothing.
   size_t MemoryBytes() const {
     const bool heap = mmap_ != nullptr && !mmap_->used_mmap();
-    return nodes_.capacity() * sizeof(Node) + (heap ? container_.size() : 0);
+    return heap ? container_.size() : 0;
   }
 
   // ---- Persistence: the v2 flat layout, same scheme as OrpKwIndex (a
@@ -207,18 +210,18 @@ class SpKwBoxIndex {
     const FlatErrorSink sink = AbortingFlatErrorSink();
     const FlatArenaReader reader(*file, offset, expected_tag);
     const FlatRoot& root = reader.template Root<FlatRoot>();
-    FlatDirPoolReader pools;
-    KWSC_CHECK(CheckRoot(reader, root, sink, &pools));
+    SpKwBoxIndex index(corpus);
+    KWSC_CHECK(CheckRoot(reader, root, sink, &index.pools_));
     KWSC_CHECK_MSG(root.num_objects == corpus->num_objects(),
                    "corpus object count mismatch");
     KWSC_CHECK_MSG(root.total_weight == corpus->total_weight(),
                    "corpus weight mismatch");
-    SpKwBoxIndex index(corpus);
     index.options_ = RestoreFrameworkOptions(root.options);
     index.points_.Attach(reader.Slab<PointType>(root.points));
 
     const auto recs = reader.Slab<FlatNodeRec<Box<D, Scalar>>>(root.nodes);
-    KWSC_CHECK(AttachFlatNodes(recs, pools, sink, &index.nodes_));
+    KWSC_CHECK(CheckFlatNodes(recs, index.pools_, sink));
+    index.nodes_ = recs;
     index.container_ = {file->data() + offset, reader.total_bytes()};
     index.mmap_ = std::move(file);
     return index;
@@ -240,14 +243,13 @@ class SpKwBoxIndex {
     FlatDirPoolReader pools;
     if (!CheckRoot(reader, root, sink, &pools)) return false;
     const auto recs = reader.Slab<FlatNodeRec<Box<D, Scalar>>>(root.nodes);
-    std::vector<Node> nodes;
-    const bool shallow = AttachFlatNodes(recs, pools, sink, &nodes);
+    const bool shallow = CheckFlatNodes(recs, pools, sink);
     return ValidateFlatTreeDeep(recs, pools, sink) && shallow;
   }
 
  private:
-  // The invariant auditor reads (and its tests corrupt) the node arena
-  // directly; see audit/audit_access.h.
+  // The invariant auditor reads the node records and directories (and its
+  // tests corrupt them) directly; see audit/audit_access.h.
   friend struct audit::AuditAccess;
 
   // Shell constructor used by LoadFlat.
@@ -269,14 +271,6 @@ class SpKwBoxIndex {
     }
     return true;
   }
-
-  struct Node {
-    Box<D, Scalar> cell;
-    NodeDirectory dir;
-    int32_t child[2] = {-1, -1};
-    int16_t level = 0;
-    bool IsLeaf() const { return child[0] < 0 && child[1] < 0; }
-  };
 
   uint32_t BuildNode(std::vector<ObjectId>* active, const Box<D, Scalar>& cell,
                      int level, const std::vector<KeywordId>* inherited,
@@ -359,106 +353,14 @@ class SpKwBoxIndex {
     return 1;
   }
 
-  template <typename Emit>
-  bool Visit(uint32_t node_index, const QueryType& q,
-             std::span<const KeywordId> kws, Emit& emit, QueryStats* stats,
-             OpsBudget* budget) const {
-    const Node& node = nodes_[node_index];
-    const bool covered = Classify(node.cell, q) == 2;
-    if (stats != nullptr) {
-      ++stats->nodes_visited;
-      covered ? ++stats->covered_nodes : ++stats->crossing_nodes;
-    }
-    if (!budget->Charge()) return Exhaust(stats);
-
-    for (ObjectId e : node.dir.pivots()) {
-      if (!budget->Charge()) return Exhaust(stats);
-      if (stats != nullptr) {
-        ++stats->pivot_checks;
-        covered ? ++stats->covered_work : ++stats->crossing_work;
-      }
-      if (q.Satisfies(points_[e]) && corpus_->ContainsAll(e, kws)) {
-        if (stats != nullptr) ++stats->results;
-        if (!emit(e)) return false;
-      }
-    }
-    if (node.IsLeaf()) return true;
-
-    uint32_t lids[kMaxQueryKeywords];
-    KeywordId small_keyword = 0;
-    if (!node.dir.ResolveLarge(kws, lids, &small_keyword)) {
-      if (options_.enable_materialized_lists) {
-        const std::optional<std::span<const ObjectId>> list =
-            node.dir.MaterializedList(small_keyword);
-        if (!list.has_value()) return true;
-        for (ObjectId e : *list) {
-          if (!budget->Charge()) return Exhaust(stats);
-          if (stats != nullptr) {
-            ++stats->list_scanned;
-            covered ? ++stats->covered_work : ++stats->crossing_work;
-          }
-          if (q.Satisfies(points_[e]) && corpus_->ContainsAll(e, kws)) {
-            if (stats != nullptr) ++stats->results;
-            if (!emit(e)) return false;
-          }
-        }
-        return true;
-      }
-      return ScanSubtree(node_index, q, kws, emit, stats, budget);
-    }
-
-    for (int c = 0; c < 2; ++c) {
-      const int32_t child = node.child[c];
-      if (child < 0) continue;
-      // Pull the child node's line while the tuple registry is probed.
-      KWSC_PREFETCH(&nodes_[child]);
-      if (options_.enable_tuple_pruning &&
-          !node.dir.ChildTupleNonEmpty(c, {lids, kws.size()})) {
-        if (stats != nullptr) ++stats->tuple_pruned;
-        continue;
-      }
-      if (Classify(nodes_[child].cell, q) == 0) {
-        if (stats != nullptr) ++stats->geom_pruned;
-        continue;
-      }
-      if (!Visit(child, q, kws, emit, stats, budget)) return false;
-    }
-    return true;
-  }
-
-  template <typename Emit>
-  bool ScanSubtree(uint32_t node_index, const QueryType& q,
-                   std::span<const KeywordId> kws, Emit& emit,
-                   QueryStats* stats, OpsBudget* budget) const {
-    const Node& node = nodes_[node_index];
-    for (int c = 0; c < 2; ++c) {
-      const int32_t child = node.child[c];
-      if (child < 0) continue;
-      KWSC_PREFETCH(&nodes_[child]);
-      if (Classify(nodes_[child].cell, q) == 0) continue;
-      for (ObjectId e : nodes_[child].dir.pivots()) {
-        if (!budget->Charge()) return Exhaust(stats);
-        if (stats != nullptr) ++stats->list_scanned;
-        if (q.Satisfies(points_[e]) && corpus_->ContainsAll(e, kws)) {
-          if (stats != nullptr) ++stats->results;
-          if (!emit(e)) return false;
-        }
-      }
-      if (!ScanSubtree(child, q, kws, emit, stats, budget)) return false;
-    }
-    return true;
-  }
-
-  static bool Exhaust(QueryStats* stats) {
-    if (stats != nullptr) stats->budget_exhausted = true;
-    return false;
-  }
-
   const Corpus* corpus_;
   FrameworkOptions options_;
   SlabSpan<PointType> points_;
-  std::vector<Node> nodes_;
-  // The container every view points into: heap bytes the build wrote, or
+  // The node records in DFS preorder and the directory pools they index,
+  // both read in place.
+  std::span<const FlatNodeRec<Box<D, Scalar>>> nodes_;
+  FlatDirPoolReader pools_;
+  // The container every span points into: heap bytes the build wrote, or
   // the bytes LoadFlat was given (mapped or read). mmap_ keeps them alive.
   std::shared_ptr<const MmapFile> mmap_;
   std::span<const std::byte> container_;

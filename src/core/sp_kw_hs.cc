@@ -4,13 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <numeric>
-#include <optional>
 #include <span>
 
 #include "common/macros.h"
 #include "common/memory.h"
+#include "core/tree_descent.h"
 #include "parttree/ham_sandwich.h"
 
 namespace kwsc {
@@ -55,18 +54,15 @@ SpKwHsIndex::SpKwHsIndex(std::span<const PointType> points,
   std::iota(active.begin(), active.end(), 0);
   DirectoryBuilder builder(corpus_, options_);
   FlatDirPoolWriter pools;
-  std::vector<DirRec> recs;
   BuildNode(&active, ConvexPolygon2D::FromBox(bounds), 0, nullptr, &builder,
-            &pools, &recs);
-  // The pools are complete: freeze them and point each directory into them,
-  // range-checked as a flat load does.
-  pools_ = std::make_shared<const FlatDirPoolWriter>(std::move(pools));
-  const FlatDirPoolReader reader(*pools_);
+            &pools);
+  // The pools are complete: freeze them and check every node's ranges
+  // against them once, as a flat attach does; queries read them unchecked.
+  pool_data_ = std::make_shared<const FlatDirPoolWriter>(std::move(pools));
+  pools_ = FlatDirPoolReader(*pool_data_);
   for (size_t i = 0; i < nodes_.size(); ++i) {
-    FlatDirView view;
-    KWSC_CHECK(reader.MakeView(recs[i], static_cast<int64_t>(i), &view,
-                               AbortingFlatErrorSink()));
-    nodes_[i].dir = NodeDirectory(view);
+    KWSC_CHECK(pools_.CheckRanges(nodes_[i], static_cast<int64_t>(i),
+                                  AbortingFlatErrorSink()));
   }
 }
 
@@ -76,16 +72,14 @@ uint32_t SpKwHsIndex::BuildNode(std::vector<ObjectId>* active,
                                 ConvexPolygon2D cell, int level,
                                 const std::vector<KeywordId>* inherited,
                                 DirectoryBuilder* builder,
-                                FlatDirPoolWriter* pools,
-                                std::vector<DirRec>* recs) {
+                                FlatDirPoolWriter* pools) {
   const uint32_t index = static_cast<uint32_t>(nodes_.size());
   nodes_.emplace_back();
   nodes_[index].cell = std::move(cell);
   nodes_[index].level = static_cast<int16_t>(level);
-  recs->emplace_back();
 
   if (active->size() <= static_cast<size_t>(options_.leaf_objects)) {
-    pools->Append(builder->BuildLeaf(*active), &recs->back());
+    pools->Append(builder->BuildLeaf(*active), &nodes_[index]);
     return index;
   }
 
@@ -124,7 +118,7 @@ uint32_t SpKwHsIndex::BuildNode(std::vector<ObjectId>* active,
   // rather than recurse forever.
   for (const auto& ca : child_active) {
     if (ca.size() == active->size()) {
-      pools->Append(builder->BuildLeaf(*active), &recs->back());
+      pools->Append(builder->BuildLeaf(*active), &nodes_[index]);
       return index;
     }
   }
@@ -132,7 +126,7 @@ uint32_t SpKwHsIndex::BuildNode(std::vector<ObjectId>* active,
   std::vector<KeywordId> next_inherited;
   pools->Append(builder->Build(*active, child_active, inherited, pivots,
                                &next_inherited),
-                &recs->back());
+                &nodes_[index]);
   active->clear();
   active->shrink_to_fit();
 
@@ -150,7 +144,7 @@ uint32_t SpKwHsIndex::BuildNode(std::vector<ObjectId>* active,
     child_cell = child_cell.ClipBy((c & 1) ? above2 : below2);
     const int32_t child = static_cast<int32_t>(
         BuildNode(&child_active[c], std::move(child_cell), level + 1,
-                  &next_inherited, builder, pools, recs));
+                  &next_inherited, builder, pools));
     nodes_[index].child[c] = child;
   }
   return index;
@@ -167,6 +161,20 @@ int SpKwHsIndex::Classify(const ConvexPolygon2D& cell, const QueryType& q) {
   return inside ? 2 : 1;
 }
 
+template <typename Emit>
+void SpKwHsIndex::Descend(const QueryType& q,
+                          std::span<const KeywordId> sorted_keywords,
+                          Emit& emit, QueryStats* stats,
+                          OpsBudget* budget) const {
+  DescendTree(
+      std::span<const Node>(nodes_), pools_, *corpus_, options_,
+      sorted_keywords,
+      [&q](const ConvexPolygon2D& cell) { return Classify(cell, q) == 2; },
+      [&q](const ConvexPolygon2D& cell) { return Classify(cell, q) == 0; },
+      [&](ObjectId e) { return q.Satisfies(points_[e]); }, emit, stats,
+      budget);
+}
+
 std::vector<ObjectId> SpKwHsIndex::Query(const QueryType& q,
                                          std::span<const KeywordId> keywords,
                                          QueryStats* stats,
@@ -174,14 +182,11 @@ std::vector<ObjectId> SpKwHsIndex::Query(const QueryType& q,
   std::vector<ObjectId> out;
   const SortedKeywords sorted =
       CanonicalizeQueryKeywords(keywords, options_.k);
-  if (nodes_.empty()) return out;
-  OpsBudget unlimited;
-  if (budget == nullptr) budget = &unlimited;
-  std::function<bool(ObjectId)> emit = [&out](ObjectId e) {
+  auto emit = [&out](ObjectId e) {
     out.push_back(e);
     return true;
   };
-  Visit(0, q, sorted, emit, stats, budget);
+  Descend(q, sorted, emit, stats, budget);
   return out;
 }
 
@@ -191,113 +196,18 @@ bool SpKwHsIndex::ContainsAtLeast(const QueryType& q,
   KWSC_CHECK(t >= 1);
   const SortedKeywords sorted =
       CanonicalizeQueryKeywords(keywords, options_.k);
-  if (nodes_.empty()) return false;
   // Budget per Corollary 6 (d = 2 <= k - 1 regime plus the substrate's own
   // crossing term; the constant absorbs the substitution's weaker exponent).
   OpsBudget budget(ThresholdQueryBudget(total_weight(), options_.k, t, 128.0));
   uint64_t found = 0;
-  std::function<bool(ObjectId)> emit = [&found, t](ObjectId) {
-    return ++found < t;
-  };
-  Visit(0, q, sorted, emit, stats, &budget);
+  auto emit = [&found, t](ObjectId) { return ++found < t; };
+  Descend(q, sorted, emit, stats, &budget);
   return found >= t || budget.Exhausted();
-}
-
-bool SpKwHsIndex::Visit(uint32_t node_index, const QueryType& q,
-                        std::span<const KeywordId> kws,
-                        const std::function<bool(ObjectId)>& emit,
-                        QueryStats* stats, OpsBudget* budget) const {
-  const Node& node = nodes_[node_index];
-  const bool covered = Classify(node.cell, q) == 2;
-  if (stats != nullptr) {
-    ++stats->nodes_visited;
-    covered ? ++stats->covered_nodes : ++stats->crossing_nodes;
-  }
-  if (!budget->Charge()) return Exhaust(stats);
-
-  for (ObjectId e : node.dir.pivots()) {
-    if (!budget->Charge()) return Exhaust(stats);
-    if (stats != nullptr) {
-      ++stats->pivot_checks;
-      covered ? ++stats->covered_work : ++stats->crossing_work;
-    }
-    if (q.Satisfies(points_[e]) && corpus_->ContainsAll(e, kws)) {
-      if (stats != nullptr) ++stats->results;
-      if (!emit(e)) return false;
-    }
-  }
-  if (node.IsLeaf()) return true;
-
-  uint32_t lids[kMaxQueryKeywords];
-  KeywordId small_keyword = 0;
-  if (!node.dir.ResolveLarge(kws, lids, &small_keyword)) {
-    if (options_.enable_materialized_lists) {
-      const std::optional<std::span<const ObjectId>> list =
-          node.dir.MaterializedList(small_keyword);
-      if (!list.has_value()) return true;
-      for (ObjectId e : *list) {
-        if (!budget->Charge()) return Exhaust(stats);
-        if (stats != nullptr) {
-          ++stats->list_scanned;
-          covered ? ++stats->covered_work : ++stats->crossing_work;
-        }
-        if (q.Satisfies(points_[e]) && corpus_->ContainsAll(e, kws)) {
-          if (stats != nullptr) ++stats->results;
-          if (!emit(e)) return false;
-        }
-      }
-      return true;
-    }
-    return ScanSubtree(node_index, q, kws, emit, stats, budget);
-  }
-
-  for (int c = 0; c < kFanout; ++c) {
-    const int32_t child = node.child[c];
-    if (child < 0) continue;
-    if (options_.enable_tuple_pruning &&
-        !node.dir.ChildTupleNonEmpty(c, {lids, kws.size()})) {
-      if (stats != nullptr) ++stats->tuple_pruned;
-      continue;
-    }
-    if (Classify(nodes_[child].cell, q) == 0) {
-      if (stats != nullptr) ++stats->geom_pruned;
-      continue;
-    }
-    if (!Visit(child, q, kws, emit, stats, budget)) return false;
-  }
-  return true;
-}
-
-bool SpKwHsIndex::ScanSubtree(uint32_t node_index, const QueryType& q,
-                              std::span<const KeywordId> kws,
-                              const std::function<bool(ObjectId)>& emit,
-                              QueryStats* stats, OpsBudget* budget) const {
-  const Node& node = nodes_[node_index];
-  for (int c = 0; c < kFanout; ++c) {
-    const int32_t child = node.child[c];
-    if (child < 0) continue;
-    if (Classify(nodes_[child].cell, q) == 0) continue;
-    for (ObjectId e : nodes_[child].dir.pivots()) {
-      if (!budget->Charge()) return Exhaust(stats);
-      if (stats != nullptr) ++stats->list_scanned;
-      if (q.Satisfies(points_[e]) && corpus_->ContainsAll(e, kws)) {
-        if (stats != nullptr) ++stats->results;
-        if (!emit(e)) return false;
-      }
-    }
-    if (!ScanSubtree(child, q, kws, emit, stats, budget)) return false;
-  }
-  return true;
-}
-
-bool SpKwHsIndex::Exhaust(QueryStats* stats) {
-  if (stats != nullptr) stats->budget_exhausted = true;
-  return false;
 }
 
 size_t SpKwHsIndex::MemoryBytes() const {
   size_t total = VectorBytes(points_) + nodes_.capacity() * sizeof(Node);
-  if (pools_ != nullptr) total += pools_->MemoryBytes();
+  if (pool_data_ != nullptr) total += pool_data_->MemoryBytes();
   for (const Node& node : nodes_) total += node.cell.MemoryBytes();
   return total;
 }

@@ -9,13 +9,15 @@
 // line form the pivot set — the same boundary/interior distinction that
 // defines active and pivot sets in Section 3.2 / Appendix D.2. Any query
 // line crosses at most three of the four children, which is what bounds the
-// crossing sensitivity (Appendix D.3; measured by bench_crossing).
+// crossing sensitivity (Appendix D.3; measured by bench_crossing). Queries
+// run the framework descent (core/tree_descent.h) with the polygon-cell
+// tests. The index has no flat container: its node records and directory
+// pools live in memory.
 
 #ifndef KWSC_CORE_SP_KW_HS_H_
 #define KWSC_CORE_SP_KW_HS_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -62,51 +64,40 @@ class SpKwHsIndex {
  private:
   static constexpr int kFanout = 4;
 
+  // A node record for the framework descent: the polygon cell, the child
+  // slots and level, and the directory's ranges in the pools — a flat node
+  // record's pool fields (FlatDirPoolWriter::Append fills them), with a
+  // tuple slot per child.
   struct Node {
     ConvexPolygon2D cell;
-    NodeDirectory dir;
     int32_t child[kFanout] = {-1, -1, -1, -1};
     int16_t level = 0;
-    bool IsLeaf() const {
-      return child[0] < 0 && child[1] < 0 && child[2] < 0 && child[3] < 0;
-    }
-  };
-
-  // A node's directory ranges in the pools: a flat node record's pool
-  // fields (FlatDirPoolWriter::Append fills them), a tuple slot per child.
-  struct DirRec {
-    uint16_t num_children;
-    uint32_t pivot_count, large_count, mat_count, tuple_count[kFanout];
-    uint64_t weight, pivot_begin, large_begin, mat_begin, tuple_begin[kFanout];
+    uint16_t num_children = 0;
+    uint32_t pivot_count = 0, large_count = 0, mat_count = 0,
+             tuple_count[kFanout] = {};
+    uint64_t weight = 0, pivot_begin = 0, large_begin = 0, mat_begin = 0,
+             tuple_begin[kFanout] = {};
   };
 
   uint32_t BuildNode(std::vector<ObjectId>* active, ConvexPolygon2D cell,
                      int level, const std::vector<KeywordId>* inherited,
-                     DirectoryBuilder* builder, FlatDirPoolWriter* pools,
-                     std::vector<DirRec>* recs);
+                     DirectoryBuilder* builder, FlatDirPoolWriter* pools);
 
   // 0 = disjoint, 1 = crossing, 2 = cell inside the query region.
   static int Classify(const ConvexPolygon2D& cell, const QueryType& q);
 
-  bool Visit(uint32_t node_index, const QueryType& q,
-             std::span<const KeywordId> kws,
-             const std::function<bool(ObjectId)>& emit, QueryStats* stats,
-             OpsBudget* budget) const;
-
-  bool ScanSubtree(uint32_t node_index, const QueryType& q,
-                   std::span<const KeywordId> kws,
-                   const std::function<bool(ObjectId)>& emit,
-                   QueryStats* stats, OpsBudget* budget) const;
-
-  static bool Exhaust(QueryStats* stats);
+  template <typename Emit>
+  void Descend(const QueryType& q, std::span<const KeywordId> sorted_keywords,
+               Emit& emit, QueryStats* stats, OpsBudget* budget) const;
 
   const Corpus* corpus_;
   FrameworkOptions options_;
   std::vector<PointType> points_;
   std::vector<Node> nodes_;
-  // The directory pools every node's view points into. Immutable and
-  // shared, so a copied or moved index keeps its views valid.
-  std::shared_ptr<const FlatDirPoolWriter> pools_;
+  // The directory pools the nodes index, immutable and shared so a copied
+  // or moved index keeps `pools_`'s spans valid, and the reader over them.
+  std::shared_ptr<const FlatDirPoolWriter> pool_data_;
+  FlatDirPoolReader pools_;
 };
 
 }  // namespace kwsc

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "audit/audit_access.h"
 #include "audit/index_auditor.h"
 #include "common/flat_arena.h"
 #include "common/random.h"
@@ -345,6 +346,20 @@ TEST(FlatLayout, BuiltSpKwBoxIsItsLoadedContainer) {
       built, w.corpus, queries, [&](const ConvexQuery<2>& q, ObjectId e) {
         return q.Satisfies(w.pts[e]);
       });
+}
+
+// The query reads node records in place, so a built index charges its heap
+// container (plus ORP-KW's rank-table bucket index) and nothing per node.
+TEST(FlatLayout, BuiltIndexChargesNoNodeArena) {
+  Workload w = MakeWorkload(600, 83);
+  const OrpKwIndex<2> orp(w.pts, &w.corpus, w.opt);
+  ASSERT_GT(orp.num_nodes(), 1u);
+  EXPECT_EQ(orp.MemoryBytes(),
+            orp.flat_container().size() +
+                audit::AuditAccess::RankSpaceOf(orp).MemoryBytes());
+  const SpKwBoxIndex<2> box(w.pts, &w.corpus, w.opt);
+  ASSERT_GT(box.num_nodes(), 1u);
+  EXPECT_EQ(box.MemoryBytes(), box.flat_container().size());
 }
 
 TEST(FlatLayout, BuiltSrpKwIsItsLoadedContainer) {

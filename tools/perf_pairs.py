@@ -22,12 +22,16 @@ BENCHMARK.json declares each side's median and quartiles, the change/parent
 ratio of the medians, how many pairs the change won (by the metric's
 `better` direction), and whether the median moved by more than the parent's
 interquartile range. A median worse than the metric's bound is marked
-WORSE. With --trace 1 both sides run traced and the rows are the per-layer
-metrics instead (those the workload reports; they have no bound). Then it
-says whether the two sides' `counts` lines agree and lists the keys that
-differ, names any key whose value varied between the runs of one side, and
-gives how many operations failed on each side. Exit status: 0, or 1 when
-any run failed.
+WORSE. A metric whose runs spread too widely to read against its bound is
+marked UNRESOLVED: either side's interquartile range, as a fraction of that
+side's median, exceeds the bound, and not every change run beats every
+parent run. With --trace 1 both sides run traced and the rows are the
+per-layer metrics instead (those the workload reports; they have no bound,
+so neither mark). Then it says whether the two sides' `counts` lines agree
+and lists the keys that differ, names any key whose value varied between
+the runs of one side, and gives how many operations failed on each side.
+Each workload's report ends with one line naming its WORSE and UNRESOLVED
+metrics. Exit status: 0, or 1 when any run failed.
 """
 
 import argparse
@@ -131,6 +135,7 @@ def run_pairs(sides, workload, metrics, args):
           % (workload, args.seed, args.pairs, args.seconds,
              "traced " if args.trace else "", args.parent))
     width = max(len(m["name"]) for m in metrics)
+    marked = {"WORSE": [], "UNRESOLVED": []}
     print("%-*s %28s %28s %7s %6s %8s" % (
         width, "metric", "parent median [q1, q3]", "change median [q1, q3]",
         "ratio", "wins", "gain>IQR"))
@@ -149,27 +154,41 @@ def run_pairs(sides, workload, metrics, args):
         gain = (pm - cm) if lower else (cm - pm)
         bound = m.get("bound", float("inf"))
         worse = (ratio > 1 + bound) if lower else (ratio < 1 - bound)
+        spread = max((p3 - p1) / pm if pm else 0, (c3 - c1) / cm if cm else 0)
+        separated = (max(change) < min(parent) if lower
+                     else min(change) > max(parent))
+        unresolved = spread > bound and not separated
+        flags = ""
+        if worse:
+            flags += "  WORSE (bound %g)" % bound
+            marked["WORSE"].append(name)
+        if unresolved:
+            flags += "  UNRESOLVED (IQR %.3g of median)" % spread
+            marked["UNRESOLVED"].append(name)
         print("%-*s %10.4g [%7.4g, %7.4g] %10.4g [%7.4g, %7.4g] %7.3f "
               "%3d/%-2d %8s%s" % (
                   width, name, pm, p1, p3, cm, c1, c3, ratio, wins,
                   len(pairs),
-                  "yes" if gain > p3 - p1 else "no",
-                  "  WORSE (bound %g)" % bound if worse else ""))
+                  "yes" if gain > p3 - p1 else "no", flags))
     print("failed operations: parent %d, change %d"
           % (failed["parent"], failed["change"]))
     if counts["parent"] is None or counts["change"] is None:
         print("counts: missing on one side")
-        return 1
-    differ = sorted(differing_keys(counts["parent"], counts["change"]))
-    if not differ:
-        print("counts: identical")
-    for k in differ:
-        print("counts differ: %s parent %s change %s"
-              % (k, counts["parent"].get(k), counts["change"].get(k)))
+        status = 1
+    else:
+        differ = sorted(differing_keys(counts["parent"], counts["change"]))
+        if not differ:
+            print("counts: identical")
+        for k in differ:
+            print("counts differ: %s parent %s change %s"
+                  % (k, counts["parent"].get(k), counts["change"].get(k)))
     for side in sides:
         if varying[side]:
             print("counts vary between the %s runs: %s"
                   % (side, ", ".join(sorted(varying[side]))))
+    print("%s: WORSE %s; UNRESOLVED %s" % (
+        workload, ", ".join(marked["WORSE"]) or "none",
+        ", ".join(marked["UNRESOLVED"]) or "none"))
     return status
 
 
