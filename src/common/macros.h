@@ -52,10 +52,17 @@
 /// the child node's cache line while the current node's directory is being
 /// probed. A no-op hint: never changes semantics.
 #define KWSC_PREFETCH(addr) __builtin_prefetch((addr), 0, 3)
+/// Inlines a small function into every caller, whatever inlining budget the
+/// translation unit has left. For the query descent's per-node and
+/// per-candidate steps: the descent reaches them through substrate lambdas,
+/// and a large unit can spend its growth budget before those are inlined,
+/// leaving an out-of-line call on every node.
+#define KWSC_ALWAYS_INLINE __attribute__((always_inline)) inline
 #else
 #define KWSC_PREDICT_TRUE(x) (x)
 #define KWSC_PREDICT_FALSE(x) (x)
 #define KWSC_PREFETCH(addr) ((void)0)
+#define KWSC_ALWAYS_INLINE inline
 #endif
 
 #endif  // KWSC_COMMON_MACROS_H_

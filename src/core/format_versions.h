@@ -68,7 +68,7 @@ inline constexpr uint32_t kKsiFormatVersion = 1;
 inline constexpr uint32_t kDynamicCheckpointFormatVersion = 2;
 
 /// Shared persisted substructures every family embeds: the framework
-/// options image, NodeDirectory's flat form, the flat node records and
+/// options image, the node directory's flat form, the flat node records and
 /// directory pools, rank-space images, and the geometric Pods (Point/Box)
 /// slabs are built from. Bump when any shared layout changes.
 /// kwsc-abi: format framework-core files=core/framework.h,core/node_directory,core/flat_format,geom/rank_space,geom/point,geom/box

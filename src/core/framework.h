@@ -6,7 +6,7 @@
 //   1. a space-partitioning tree is built on the *verbose set* (each object
 //      weighted by its document size);
 //   2. each node u carries an active set D_u^act and a pivot set D_u^pvt,
-//      plus a secondary structure T_u (NodeDirectory) recording which
+//      plus a secondary structure T_u (core/node_directory.h) recording which
 //      keywords are large at u, which k-tuples of large keywords have a
 //      non-empty intersection inside each child, and the materialized lists
 //      D_u^act(w) for keywords that just turned small;

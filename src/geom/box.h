@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "common/abi.h"
+#include "common/macros.h"
 #include "geom/halfspace.h"
 #include "geom/point.h"
 
@@ -45,9 +46,10 @@ struct Box {
   // `&` instead of short-circuiting: D is a small compile-time constant, so
   // the loop fully unrolls into straight-line compares with no unpredictable
   // branch — these run once per tree node on the query descent, where a
-  // mispredict costs more than the spared comparisons ever save.
+  // mispredict costs more than the spared comparisons ever save. The descent
+  // reaches them through its substrate lambdas, so they are forced inline.
 
-  bool Contains(const PointType& p) const {
+  KWSC_ALWAYS_INLINE bool Contains(const PointType& p) const {
     bool inside = true;
     for (int i = 0; i < D; ++i) {
       inside &= (p[i] >= lo[i]) & (p[i] <= hi[i]);
@@ -56,7 +58,7 @@ struct Box {
   }
 
   /// True iff the closed boxes share at least one point.
-  bool Intersects(const Box& other) const {
+  KWSC_ALWAYS_INLINE bool Intersects(const Box& other) const {
     bool overlaps = true;
     for (int i = 0; i < D; ++i) {
       overlaps &= (other.hi[i] >= lo[i]) & (other.lo[i] <= hi[i]);
@@ -65,7 +67,7 @@ struct Box {
   }
 
   /// True iff this box lies entirely inside `other` (covered-node test).
-  bool InsideOf(const Box& other) const {
+  KWSC_ALWAYS_INLINE bool InsideOf(const Box& other) const {
     bool inside = true;
     for (int i = 0; i < D; ++i) {
       inside &= (lo[i] >= other.lo[i]) & (hi[i] <= other.hi[i]);

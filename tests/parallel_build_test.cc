@@ -4,7 +4,7 @@
 // constructed index is the SAME index — not just query-equivalent but
 // byte-identical under SaveFlat. Forked subtrees build into private arenas that
 // are spliced back in DFS preorder, so node layout, child indices, and every
-// NodeDirectory match the sequential build exactly. These tests pin that
+// node directory match the sequential build exactly. These tests pin that
 // contract, plus the degenerate-weight fix in WeightedMedianIndex.
 
 #include <gtest/gtest.h>
