@@ -4,7 +4,8 @@
 // and reload both in a fraction of the build time — the workflow a serving
 // system uses (build offline, load on start-up). The index is written as a
 // flat container and reloaded by mapping the file (LoadFlat); the corpus is
-// its own stream and is supplied again on load.
+// its own flat container, read back with Corpus::Load and supplied again on
+// load.
 //
 //   $ ./build/examples/persist_reload
 

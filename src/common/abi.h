@@ -2,9 +2,9 @@
 //
 // ABI registration for persisted and wire structs (DESIGN.md §5h).
 //
-// Every struct whose bytes cross a durability or process boundary — written
-// through OutputArchive::Pod, laid out in a flat-arena slab, mapped back by
-// FlatArenaReader, or modeled on the serve wire — must be *registered* with
+// Every struct whose bytes cross a durability or process boundary — laid
+// out in a flat-arena slab or root, mapped back by FlatArenaReader, or
+// modeled on the serve wire — must be *registered* with
 // one of the macros below, in the file that defines it. Registration does
 // two jobs:
 //
@@ -56,13 +56,12 @@
 
 namespace kwsc {
 
-/// Both the stream archives (corpus, dynamic checkpoint) and the v2 flat
-/// containers write host-endian bytes; the formats are defined as
+/// The flat containers write host-endian bytes; the formats are defined as
 /// little-endian on disk. Refuse to build on exotic hosts instead of
 /// silently writing byte-swapped files.
 static_assert(std::endian::native == std::endian::little,
               "kwsc on-disk formats are little-endian; big-endian hosts "
-              "would need byte-swapping shims in serialize.h/flat_arena.h");
+              "would need byte-swapping shims in flat_arena.h");
 
 }  // namespace kwsc
 

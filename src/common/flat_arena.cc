@@ -3,6 +3,7 @@
 #include "common/flat_arena.h"
 
 #include <cstdio>
+#include <istream>
 #include <new>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -31,6 +32,18 @@ std::byte* AlignedAlloc(size_t size) {
 
 void AlignedFree(std::byte* p) {
   if (p != nullptr) ::operator delete(p, std::align_val_t(kFlatAlignment));
+}
+
+/// Bytes between `in`'s read position and its end, with the position
+/// restored; UINT64_MAX when the stream cannot seek.
+uint64_t RemainingStreamBytes(std::istream* in) {
+  const std::istream::pos_type pos = in->tellg();
+  if (pos == std::istream::pos_type(-1)) return UINT64_MAX;
+  in->seekg(0, std::ios::end);
+  const std::istream::pos_type end = in->tellg();
+  in->seekg(pos);
+  if (end == std::istream::pos_type(-1) || end < pos) return UINT64_MAX;
+  return static_cast<uint64_t>(end - pos);
 }
 
 // MmapFile is immutable after creation, so the factory functions need a
@@ -144,10 +157,7 @@ const std::string& FlatArenaWriter::Finish() {
   Align();
   FlatHeader header;
   std::memset(static_cast<void*>(&header), 0, sizeof(header));
-  header.magic[0] = 'K';
-  header.magic[1] = 'W';
-  header.magic[2] = 'F';
-  header.magic[3] = '2';
+  std::memcpy(header.magic, &kFlatMagic, sizeof(header.magic));
   header.family_tag = family_tag_;
   header.total_bytes = buf_.size();
   header.root_offset = root_offset_;
@@ -178,6 +188,34 @@ void WriteFlatContainer(std::span<const std::byte> container,
              static_cast<std::streamsize>(container.size() - sizeof(header)));
 }
 
+std::shared_ptr<const MmapFile> ReadFlatContainer(std::istream* in) {
+  KWSC_CHECK(in != nullptr);
+  FlatHeader header;
+  in->read(reinterpret_cast<char*>(&header), sizeof(header));
+  KWSC_CHECK_MSG(in->good(), "truncated flat container header");
+  KWSC_CHECK_MSG(
+      std::memcmp(header.magic, &kFlatMagic, sizeof(header.magic)) == 0,
+      "flat magic mismatch (want KWF2)");
+  KWSC_CHECK_MSG(header.total_bytes >= sizeof(header) &&
+                     header.total_bytes % kFlatAlignment == 0,
+                 "flat container size %llu implausible",
+                 static_cast<unsigned long long>(header.total_bytes));
+  // A corrupt size must fail here, not as a huge allocation followed by a
+  // short read. A stream that cannot seek is held to a plausibility bound
+  // instead, and to the truncation check after the read.
+  const uint64_t rest = header.total_bytes - sizeof(header);
+  KWSC_CHECK_MSG(
+      rest < (uint64_t{1} << 40) && rest <= RemainingStreamBytes(in),
+      "flat container of %llu bytes exceeds the remaining stream",
+      static_cast<unsigned long long>(header.total_bytes));
+  AlignedBytes bytes(static_cast<size_t>(header.total_bytes));
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  in->read(reinterpret_cast<char*>(bytes.data()) + sizeof(header),
+           static_cast<std::streamsize>(rest));
+  KWSC_CHECK_MSG(in->good(), "truncated flat container");
+  return MmapFile::Adopt(std::move(bytes));
+}
+
 bool FlatArenaReader::Validate(const MmapFile& file, uint64_t offset,
                                uint32_t expected_tag,
                                const FlatErrorSink& sink) {
@@ -196,7 +234,7 @@ bool FlatArenaReader::Validate(const MmapFile& file, uint64_t offset,
   }
   FlatHeader header;
   std::memcpy(&header, file.data() + offset, sizeof(header));
-  if (std::memcmp(header.magic, "KWF2", 4) != 0) {
+  if (std::memcmp(header.magic, &kFlatMagic, sizeof(header.magic)) != 0) {
     return fail("flat magic mismatch (want KWF2)");
   }
   if (header.family_tag != expected_tag) {

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <istream>
 #include <memory>
 #include <ostream>
 #include <span>
@@ -57,6 +58,10 @@ constexpr uint32_t FlatFamilyTag(char a, char b, char c, char d) {
          static_cast<uint32_t>(static_cast<unsigned char>(c)) << 16 |
          static_cast<uint32_t>(static_cast<unsigned char>(d)) << 24;
 }
+
+/// The container magic every header opens with, packed like a family tag
+/// (its bytes on disk spell "KWF2").
+inline constexpr uint32_t kFlatMagic = FlatFamilyTag('K', 'W', 'F', '2');
 
 /// A typed slab reference: byte offset from the container start plus element
 /// count. The element type is implied by the field holding the ref.
@@ -96,9 +101,8 @@ using FlatErrorSink = std::function<void(const std::string&)>;
 FlatErrorSink AbortingFlatErrorSink();
 
 /// A writable 64-byte-aligned heap buffer, filled in place and then frozen
-/// into an MmapFile (MmapFile::Adopt) without a copy. A container embedded
-/// in a stream is read straight into one: InputArchive::Vec<std::byte,
-/// AlignedBytes>().
+/// into an MmapFile (MmapFile::Adopt) without a copy. A container read from
+/// a stream lands straight in one (ReadFlatContainer).
 class AlignedBytes {
  public:
   explicit AlignedBytes(size_t size);
@@ -296,6 +300,15 @@ class FlatArenaReader {
 /// family saves its engine's container this way under its own tag.
 void WriteFlatContainer(std::span<const std::byte> container,
                         uint32_t family_tag, std::ostream* out);
+
+/// Reads the one flat container at `in`'s read position into a 64-byte-
+/// aligned buffer and leaves the stream at the byte after it, where the next
+/// container of a stream of containers starts. Aborts on a wrong magic, on a
+/// total_bytes the stream does not hold (measured from the stream's end, or,
+/// on a stream that cannot seek, after the read), and on a short read, all
+/// before the container is handed on. Only the header is checked here; the
+/// caller validates the rest through FlatArenaReader, as for a mapped file.
+std::shared_ptr<const MmapFile> ReadFlatContainer(std::istream* in);
 
 /// A typed view of one slab in a container its holder keeps alive, read
 /// like a const vector; view() hands the span to a writer.

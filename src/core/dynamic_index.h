@@ -37,18 +37,19 @@
 // scan and every level; the first component to exhaust it ends the query —
 // no further level is visited.
 //
-// Persistence: SaveCheckpoint writes the "KWDY" v2 stream — registry,
-// tombstones, buffer, and per level its id list followed by the flat
-// container its index holds (its SaveFlat bytes, written straight from the
-// index). LoadCheckpoint gathers each level's corpus from the registry and
-// attaches the stored container with LoadFlat, so an open costs a registry
-// read plus one flat load per level, never a construction; the price is
-// the containers' bytes in the file. A level's index charges its own
-// container in MemoryBytes(), built or loaded. Only FlatPersistable
-// families checkpoint. Compact() rebuilds one static index over the live
-// objects in insertion order; after quiescence its SaveFlat bytes are
-// identical to a from-scratch build over the same object set
-// (tests/dynamic_index_test.cc holds this as a hard invariant).
+// Persistence: SaveCheckpoint writes a sequence of flat containers — the
+// checkpoint container (geometry, tombstones, buffer, level id lists), the
+// registry documents as one corpus container, and per present level the
+// flat container its index holds (its SaveFlat bytes). LoadCheckpoint
+// gathers each level's corpus from the registry and attaches the stored
+// container with LoadFlat, so an open costs a registry read plus one flat
+// load per level, never a construction; the price is the containers' bytes
+// in the file. A level's index charges its own container in MemoryBytes(),
+// built or loaded. Only FlatPersistable families checkpoint. Compact()
+// rebuilds one static index over the live objects in insertion order;
+// after quiescence its SaveFlat bytes are identical to a from-scratch
+// build over the same object set (tests/dynamic_index_test.cc holds this
+// as a hard invariant).
 
 #ifndef KWSC_CORE_DYNAMIC_INDEX_H_
 #define KWSC_CORE_DYNAMIC_INDEX_H_
@@ -69,7 +70,6 @@
 #include "common/memory.h"
 #include "common/mutex.h"
 #include "common/ops_budget.h"
-#include "common/serialize.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "core/contracts.h"
@@ -80,12 +80,25 @@
 
 namespace kwsc {
 
-/// Fixed-size header of the "KWDY" dynamic checkpoint stream.
+/// The checkpoint container's family tag; the 3 names its generation.
+inline constexpr uint32_t kDynamicCheckpointTag =
+    FlatFamilyTag('K', 'W', 'D', '3');
+
+/// Root of the checkpoint container, the first of a checkpoint's
+/// containers: the writer state's scalars, the options image, and the id
+/// lists. Slot s's level holds the level_sizes[s] ids that follow the
+/// earlier slots' in level_ids; a size of 0 means the slot is empty.
 struct PersistedDynamicCheckpoint {
   uint64_t buffer_capacity;
   uint64_t num_objects;
   uint64_t live_objects;
   uint64_t num_slots;
+  PersistedFrameworkOptions options;
+  SlabRef geoms;        // GeomType, num_objects entries: the registry.
+  SlabRef dead_ids;     // ObjectId, ascending.
+  SlabRef buffer_ids;   // ObjectId, buffer order.
+  SlabRef level_sizes;  // uint64_t, num_slots entries.
+  SlabRef level_ids;    // ObjectId, every level's id map in slot order.
 };
 KWSC_ABI_STRUCT(PersistedDynamicCheckpoint);
 
@@ -302,37 +315,46 @@ class DynamicIndex {
     return total;
   }
 
-  // ---- Persistence ("KWDY" v2; core/format_versions.h) ----
+  // ---- Persistence (dynamic checkpoint v3; core/format_versions.h) ----
 
-  /// Writes registry + tombstones + buffer, then per slot a presence byte
-  /// and, for a present level, its id list and its index's flat container.
-  /// Safe to call mid-merge: the writer state is always a complete view (a
-  /// carry's sources stay in place until its level is installed).
+  /// Writes the checkpoint container, then the registry documents as one
+  /// corpus container, then each present level's flat container in slot
+  /// order. Safe to call mid-merge: the writer state is always a complete
+  /// view (a carry's sources stay in place until its level is installed).
   void SaveCheckpoint(std::ostream* out) const
       requires(FlatPersistable<Family>) {
     MutexLock lock(&mu_);
-    OutputArchive ar(out);
-    ar.Magic("KWDY", kDynamicCheckpointFormatVersion);
-    PersistedDynamicCheckpoint header{};
-    header.buffer_capacity = buffer_capacity_;
-    header.num_objects = num_objects_;
-    header.live_objects = live_objects_;
-    header.num_slots = levels_.size();
-    ar.Pod(header);
-    SaveFrameworkOptions(&ar, options_);
-    ar.Vec(std::span<const GeomType>(all_geoms_));
-    for (const auto& doc : all_docs_) ar.Vec(doc->keywords());
     std::vector<ObjectId> dead_ids;
     for (ObjectId id = 0; id < dead_->size(); ++id) {
       if ((*dead_)[id] != 0) dead_ids.push_back(id);
     }
-    ar.Vec(dead_ids);
-    ar.Vec(buffer_ids_);
+    std::vector<uint64_t> level_sizes;
+    std::vector<ObjectId> level_ids;
     for (const auto& level : levels_) {
-      ar.Pod<uint8_t>(level != nullptr ? 1 : 0);
+      level_sizes.push_back(level != nullptr ? level->id_map.size() : 0);
       if (level == nullptr) continue;
-      ar.Vec(level->id_map);
-      ar.Vec(level->index->flat_container());
+      level_ids.insert(level_ids.end(), level->id_map.begin(),
+                       level->id_map.end());
+    }
+    FlatArenaWriter writer(kDynamicCheckpointTag);
+    PersistedDynamicCheckpoint root{};
+    root.buffer_capacity = buffer_capacity_;
+    root.num_objects = num_objects_;
+    root.live_objects = live_objects_;
+    root.num_slots = levels_.size();
+    PersistFrameworkOptions(options_, &root.options);
+    root.geoms = writer.Slab(std::span<const GeomType>(all_geoms_));
+    root.dead_ids = writer.Slab<ObjectId>(dead_ids);
+    root.buffer_ids = writer.Slab<ObjectId>(buffer_ids_);
+    root.level_sizes = writer.Slab<uint64_t>(level_sizes);
+    root.level_ids = writer.Slab<ObjectId>(level_ids);
+    writer.Root(root);
+    writer.WriteTo(out);
+    std::vector<ObjectId> all_ids(num_objects_);
+    for (ObjectId id = 0; id < num_objects_; ++id) all_ids[id] = id;
+    CorpusOfLocked(all_ids).Save(out);
+    for (const auto& level : levels_) {
+      if (level != nullptr) level->index->SaveFlat(out);
     }
   }
 
@@ -344,52 +366,56 @@ class DynamicIndex {
   static std::unique_ptr<DynamicIndex> LoadCheckpoint(
       std::istream* in, ThreadPool* merge_pool = nullptr)
       requires(FlatPersistable<Family>) {
-    InputArchive ar(in);
-    const uint32_t version = ar.Magic("KWDY");
-    KWSC_CHECK_MSG(version == kDynamicCheckpointFormatVersion,
-                   "dynamic checkpoint version %u unsupported", version);
-    const auto header = ar.Pod<PersistedDynamicCheckpoint>();
-    const FrameworkOptions options = LoadFrameworkOptions(&ar);
+    const std::shared_ptr<const MmapFile> file = ReadFlatContainer(in);
+    const FlatArenaReader reader(*file, 0, kDynamicCheckpointTag);
+    const PersistedDynamicCheckpoint& root =
+        reader.Root<PersistedDynamicCheckpoint>();
+    const std::span<const GeomType> geoms =
+        reader.Slab<GeomType>(root.geoms);
+    const std::span<const ObjectId> dead_ids =
+        reader.Slab<ObjectId>(root.dead_ids);
+    const std::span<const ObjectId> buffer_ids =
+        reader.Slab<ObjectId>(root.buffer_ids);
+    const std::span<const uint64_t> level_sizes =
+        reader.Slab<uint64_t>(root.level_sizes);
+    const std::span<const ObjectId> level_ids =
+        reader.Slab<ObjectId>(root.level_ids);
+    KWSC_CHECK_MSG(geoms.size() == root.num_objects &&
+                       level_sizes.size() == root.num_slots,
+                   "checkpoint geometry or level count mismatch");
+    std::vector<uint8_t> dead;
+    KWSC_CHECK(CheckIdLists(root, dead_ids, buffer_ids, level_sizes,
+                            level_ids, &dead, AbortingFlatErrorSink()));
+    const Corpus registry = Corpus::Load(in);
+    KWSC_CHECK_MSG(registry.num_objects() == root.num_objects,
+                   "checkpoint registry holds %zu documents, not %llu",
+                   registry.num_objects(),
+                   static_cast<unsigned long long>(root.num_objects));
+
     auto index = std::make_unique<DynamicIndex>(
-        options, static_cast<size_t>(header.buffer_capacity), merge_pool);
+        RestoreFrameworkOptions(root.options),
+        static_cast<size_t>(root.buffer_capacity), merge_pool);
     MutexLock lock(&index->mu_);
-    index->all_geoms_ = ar.Vec<GeomType>();
-    KWSC_CHECK(index->all_geoms_.size() == header.num_objects);
-    index->all_docs_.reserve(header.num_objects);
-    for (uint64_t i = 0; i < header.num_objects; ++i) {
+    index->num_objects_ = root.num_objects;
+    index->live_objects_ = root.live_objects;
+    index->all_geoms_.assign(geoms.begin(), geoms.end());
+    index->all_docs_.reserve(registry.num_objects());
+    for (ObjectId id = 0; id < registry.num_objects(); ++id) {
       index->all_docs_.push_back(
-          std::make_shared<const Document>(Document(ar.Vec<KeywordId>())));
+          std::make_shared<const Document>(registry.doc(id)));
     }
-    const std::vector<ObjectId> dead_ids = ar.Vec<ObjectId>();
-    index->buffer_ids_ = ar.Vec<ObjectId>();
-    for (ObjectId id : index->buffer_ids_) {
-      KWSC_CHECK_MSG(id < header.num_objects,
-                     "checkpoint buffer id %u out of range", id);
-    }
-    index->num_objects_ = header.num_objects;
-    auto dead = std::make_shared<std::vector<uint8_t>>();
-    dead->resize(header.num_objects, 0);
-    for (ObjectId id : dead_ids) {
-      KWSC_CHECK(id < header.num_objects);
-      (*dead)[id] = 1;
-    }
-    index->dead_ = std::move(dead);
-    index->live_objects_ = header.num_objects - dead_ids.size();
-    KWSC_CHECK(index->live_objects_ == header.live_objects);
-    for (uint64_t slot = 0; slot < header.num_slots; ++slot) {
-      const uint8_t present = ar.Pod<uint8_t>();
-      if (present == 0) {
+    index->dead_ =
+        std::make_shared<const std::vector<uint8_t>>(std::move(dead));
+    index->buffer_ids_.assign(buffer_ids.begin(), buffer_ids.end());
+    const ObjectId* next = level_ids.data();
+    for (const uint64_t size : level_sizes) {
+      if (size == 0) {
         index->levels_.push_back(nullptr);
         continue;
       }
-      std::vector<ObjectId> id_map = ar.Vec<ObjectId>();
-      for (ObjectId id : id_map) {
-        KWSC_CHECK_MSG(id < header.num_objects,
-                       "checkpoint level id %u out of range", id);
-      }
       index->levels_.push_back(index->AttachLevelLocked(
-          std::move(id_map),
-          MmapFile::Adopt(ar.Vec<std::byte, AlignedBytes>())));
+          std::vector<ObjectId>(next, next + size), ReadFlatContainer(in)));
+      next += size;
     }
     index->PublishLocked();
     return index;
@@ -578,6 +604,65 @@ class DynamicIndex {
       return std::span<const KeywordId>(docs[id]->keywords());
     };
     return Corpus::Gather(ids, doc_of);
+  }
+
+  /// The checkpoint's id lists against its object count: every id in range,
+  /// no tombstone twice, no object in two lists among the buffer and the
+  /// levels, and no live object in none (it would be lost), in one pass
+  /// over a bitmap that ends as the tombstone bitmap `*dead`. The first
+  /// failure goes to `sink` and returns false.
+  static bool CheckIdLists(const PersistedDynamicCheckpoint& root,
+                           std::span<const ObjectId> dead_ids,
+                           std::span<const ObjectId> buffer_ids,
+                           std::span<const uint64_t> level_sizes,
+                           std::span<const ObjectId> level_ids,
+                           std::vector<uint8_t>* dead,
+                           const FlatErrorSink& sink) {
+    const auto fail = [&sink](const std::string& message) {
+      sink("checkpoint: " + message);
+      return false;
+    };
+    constexpr uint8_t kDead = 1;
+    constexpr uint8_t kListed = 2;
+    std::vector<uint8_t>& marks = *dead;
+    marks.assign(root.num_objects, 0);
+    for (ObjectId id : dead_ids) {
+      if (id >= marks.size() || (marks[id] & kDead) != 0) {
+        return fail("tombstone id " + std::to_string(id) +
+                    " out of range or repeated");
+      }
+      marks[id] |= kDead;
+    }
+    if (root.live_objects != root.num_objects - dead_ids.size()) {
+      return fail("live object count disagrees with the tombstones");
+    }
+    uint64_t level_total = 0;
+    for (const uint64_t size : level_sizes) {
+      if (size > level_ids.size() - level_total) {
+        return fail("level sizes exceed the level id list");
+      }
+      level_total += size;
+    }
+    if (level_total != level_ids.size()) {
+      return fail("level sizes do not cover the level id list");
+    }
+    for (const std::span<const ObjectId> list : {buffer_ids, level_ids}) {
+      for (ObjectId id : list) {
+        if (id >= marks.size() || (marks[id] & kListed) != 0) {
+          return fail("object " + std::to_string(id) +
+                      " out of range or listed twice");
+        }
+        marks[id] |= kListed;
+      }
+    }
+    for (size_t id = 0; id < marks.size(); ++id) {
+      if (marks[id] == 0) {
+        return fail("live object " + std::to_string(id) +
+                    " is in no buffer or level");
+      }
+      marks[id] &= kDead;
+    }
+    return true;
   }
 
   /// A checkpointed level: members' geometry and corpus gathered from the

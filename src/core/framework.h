@@ -32,7 +32,6 @@
 #include "common/abi.h"
 #include "common/macros.h"
 #include "common/ops_budget.h"
-#include "common/serialize.h"
 #include "text/document.h"
 
 namespace kwsc {
@@ -89,9 +88,9 @@ struct FrameworkOptions {
 };
 
 /// The on-disk image of FrameworkOptions: exactly the fields that determine
-/// index structure, in the seed archive layout. Keeping this mirror (instead
-/// of dumping FrameworkOptions raw) pins the serialization format while
-/// FrameworkOptions grows execution-only knobs like num_threads.
+/// index structure, in the seed layout. Keeping this mirror (instead of
+/// dumping FrameworkOptions raw) pins the persisted roots that embed it
+/// while FrameworkOptions grows execution-only knobs like num_threads.
 struct PersistedFrameworkOptions {
   int32_t k;
   double alpha;
@@ -101,7 +100,7 @@ struct PersistedFrameworkOptions {
   bool exact_cell_tests;
 };
 static_assert(sizeof(PersistedFrameworkOptions) == 24,
-              "archive layout of FrameworkOptions must not change");
+              "persisted layout of FrameworkOptions must not change");
 // PADDED: 4 bytes of alignment gap after `k` and 1 tail byte, zeroed by the
 // memset in PersistFrameworkOptions so persisted images stay
 // byte-deterministic.
@@ -132,17 +131,6 @@ inline FrameworkOptions RestoreFrameworkOptions(
   options.enable_materialized_lists = persisted.enable_materialized_lists;
   options.exact_cell_tests = persisted.exact_cell_tests;
   return options;
-}
-
-inline void SaveFrameworkOptions(OutputArchive* ar,
-                                 const FrameworkOptions& options) {
-  PersistedFrameworkOptions persisted;
-  PersistFrameworkOptions(options, &persisted);
-  ar->Pod(persisted);
-}
-
-inline FrameworkOptions LoadFrameworkOptions(InputArchive* ar) {
-  return RestoreFrameworkOptions(ar->Pod<PersistedFrameworkOptions>());
 }
 
 /// Index of the weighted median of `n` elements under the prefix rule shared

@@ -17,10 +17,10 @@
 // histograms, merged in shard order under the same determinism contract as
 // MergeQueryStats — the work histogram is bit-identical for every thread
 // count on the same batch, and the latency histogram always holds exactly
-// one sample per query. With FrameworkOptions::enable_tracing the engine
-// additionally snapshots a full QueryStats per query into a QueryTrace
-// (off by default; the traced path reaches the identical merged totals by
-// folding each per-query snapshot into the shard stats in order).
+// one sample per query. Every query runs on a fresh QueryStats folded into
+// its shard's stats in order, so per-query facts (work, budget exhaustion)
+// are exact; with FrameworkOptions::enable_tracing the engine additionally
+// keeps each query's snapshot in a QueryTrace (off by default).
 //
 // Concurrency contract (DESIGN.md §5g): all cross-thread state inside Run is
 // disjoint-by-construction — shard s writes only rows [begin_s, end_s),
@@ -87,10 +87,8 @@ class QueryEngine {
     /// bit-identical across thread counts for the same batch.
     obs::Histogram work;
     /// Queries that tripped their OpsBudget (footnote 4's budgeted
-    /// termination). Without tracing a shard counts only the transitions its
-    /// sticky budget_exhausted flag shows; with tracing the count is exact
-    /// per query. Engine-level batches rarely carry budgets, so this is
-    /// normally 0.
+    /// termination), one count per query. Engine-level batches rarely carry
+    /// budgets, so this is normally 0.
     uint64_t budget_exhaustions = 0;
     /// Populated only when the engine was built with tracing enabled.
     obs::QueryTrace trace;
@@ -218,17 +216,17 @@ class QueryEngine {
     if (trace_enabled_) sobs->spans.reserve(end - begin);
     WallTimer shard_timer;
     for (size_t i = begin; i < end; ++i) {
+      // Fresh per-query stats, folded into the shard stats in order:
+      // identical totals to threading one QueryStats through the loop.
+      const double start_us = trace_enabled_ ? run_timer.ElapsedMicros() : 0.0;
+      WallTimer query_timer;
+      QueryStats query_stats;
+      (*rows)[i] =
+          index_->Query(queries[i].region, queries[i].keywords, &query_stats);
+      const int64_t nanos = query_timer.ElapsedNanos();
+      RecordQuery(nanos, query_stats.ObjectsExamined(), sobs);
+      if (query_stats.budget_exhausted) ++sobs->budget_exhaustions;
       if (trace_enabled_) {
-        // Fresh per-query stats, folded into the shard stats in order:
-        // identical totals to threading one QueryStats through the loop.
-        const double start_us = run_timer.ElapsedMicros();
-        WallTimer query_timer;
-        QueryStats query_stats;
-        (*rows)[i] =
-            index_->Query(queries[i].region, queries[i].keywords, &query_stats);
-        const int64_t nanos = query_timer.ElapsedNanos();
-        RecordQuery(nanos, query_stats.ObjectsExamined(), sobs);
-        if (query_stats.budget_exhausted) ++sobs->budget_exhaustions;
         obs::QuerySpan span;
         span.query_index = static_cast<uint32_t>(i);
         span.shard = static_cast<uint32_t>(shard);
@@ -236,19 +234,8 @@ class QueryEngine {
         span.duration_micros = static_cast<double>(nanos) / 1e3;
         span.stats = query_stats;
         sobs->spans.push_back(std::move(span));
-        MergeQueryStats(query_stats, stats);
-      } else {
-        const uint64_t work_before = stats->ObjectsExamined();
-        const bool exhausted_before = stats->budget_exhausted;
-        WallTimer query_timer;
-        (*rows)[i] =
-            index_->Query(queries[i].region, queries[i].keywords, stats);
-        RecordQuery(query_timer.ElapsedNanos(),
-                    stats->ObjectsExamined() - work_before, sobs);
-        if (stats->budget_exhausted && !exhausted_before) {
-          ++sobs->budget_exhaustions;
-        }
       }
+      MergeQueryStats(query_stats, stats);
     }
     sobs->wall_micros = shard_timer.ElapsedMicros();
   }

@@ -60,9 +60,9 @@ Scalar L2DistanceSquared(const Point<D, Scalar>& p, const Point<D, Scalar>& q) {
   return total;
 }
 
-// Points are slab element types in every flat family container (and the
-// geometry payload of the KWDY checkpoint stream); the d=2 instantiations are
-// the persisted ones.
+// Points are slab element types in every flat family container (and in the
+// dynamic checkpoint's geometry slab); the d=2 instantiations are the
+// persisted ones.
 KWSC_ABI_STRUCT_AS(PointD2, Point<2>);
 KWSC_ABI_STRUCT_AS(PointI2, Point<2, int64_t>);
 

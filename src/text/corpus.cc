@@ -3,10 +3,10 @@
 #include "text/corpus.h"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "common/memory.h"
-#include "common/serialize.h"
-#include "core/format_versions.h"
 
 namespace kwsc {
 
@@ -35,39 +35,78 @@ void Corpus::Append(std::span<const KeywordId> keywords) {
 }
 
 void Corpus::Save(std::ostream* out) const {
-  OutputArchive ar(out);
-  ar.Magic("KWCP", kCorpusFormatVersion);
-  ar.Pod<uint64_t>(num_objects());
-  for (ObjectId e = 0; e < num_objects(); ++e) ar.Vec(doc(e).keywords());
+  FlatArenaWriter writer(kFlatFamilyTag);
+  FlatRoot root{};
+  root.num_objects = num_objects();
+  root.total_weight = total_weight();
+  root.offsets = writer.Slab<uint64_t>(offsets_);
+  root.keywords = writer.Slab<KeywordId>(keywords_);
+  writer.Root(root);
+  writer.WriteTo(out);
 }
 
 Corpus Corpus::Load(std::istream* in) {
-  InputArchive ar(in);
-  const uint32_t version = ar.Magic("KWCP");
-  KWSC_CHECK_MSG(version == kCorpusFormatVersion,
-                 "unsupported corpus version %u", version);
-  const uint64_t count = ar.Pod<uint64_t>();
-  // Every document takes at least its 8-byte length prefix, so a count the
-  // stream cannot hold is corrupt; it must fail here, not in the reserve.
-  const uint64_t remaining = ar.RemainingBytes();
-  KWSC_CHECK_MSG(count <= remaining / sizeof(uint64_t),
-                 "corpus document count %llu exceeds remaining archive bytes",
-                 static_cast<unsigned long long>(count));
-  KWSC_CHECK_MSG(count < kInvalidObjectId,
-                 "corpus document count %llu exceeds the ObjectId range",
-                 static_cast<unsigned long long>(count));
+  return *FromFlat(*ReadFlatContainer(in), AbortingFlatErrorSink());
+}
+
+std::optional<Corpus> Corpus::FromFlat(const MmapFile& file,
+                                       const FlatErrorSink& sink) {
+  const auto fail = [&sink](const std::string& message) {
+    sink("corpus: " + message);
+    return std::nullopt;
+  };
+  if (!FlatArenaReader::Validate(file, 0, kFlatFamilyTag, sink)) {
+    return std::nullopt;
+  }
+  const FlatArenaReader reader(file, 0, kFlatFamilyTag);
+  if (!reader.RootOk<FlatRoot>()) return fail("root size mismatch");
+  const FlatRoot& root = reader.Root<FlatRoot>();
+  if (root.num_objects >= kInvalidObjectId) {
+    return fail("object count " + std::to_string(root.num_objects) +
+                " exceeds the ObjectId range");
+  }
+  if (root.offsets.count != root.num_objects + 1 ||
+      !reader.SlabOk<uint64_t>(root.offsets)) {
+    return fail("offsets slab does not hold num_objects + 1 entries");
+  }
+  if (root.keywords.count != root.total_weight ||
+      !reader.SlabOk<KeywordId>(root.keywords)) {
+    return fail("keywords slab does not hold total_weight entries");
+  }
+  const std::span<const uint64_t> offsets =
+      reader.Slab<uint64_t>(root.offsets);
+  const std::span<const KeywordId> keywords =
+      reader.Slab<KeywordId>(root.keywords);
+  if (offsets.front() != 0 || offsets.back() != keywords.size()) {
+    return fail("offsets do not run from 0 to the keyword count");
+  }
   Corpus corpus;
-  if (remaining != UINT64_MAX) {
-    // The keywords take the bytes the length prefixes do not, unless the
-    // stream holds more than this corpus; the shrink below trims that.
-    const uint64_t keyword_bytes = remaining - count * sizeof(uint64_t);
-    corpus.Reserve(count, keyword_bytes / sizeof(KeywordId));
+  corpus.signatures_.resize(offsets.size() - 1);
+  for (size_t e = 0; e + 1 < offsets.size(); ++e) {
+    const uint64_t begin = offsets[e];
+    const uint64_t end = offsets[e + 1];
+    if (end <= begin || end > keywords.size()) {
+      return fail("object " + std::to_string(e) +
+                  " has an empty or out-of-range document");
+    }
+    uint64_t signature = SignatureBit(keywords[begin]);
+    for (uint64_t i = begin + 1; i < end; ++i) {
+      if (keywords[i] <= keywords[i - 1]) {
+        return fail("object " + std::to_string(e) +
+                    " has keywords out of order or repeated");
+      }
+      signature |= SignatureBit(keywords[i]);
+    }
+    // W = max keyword + 1 must fit a KeywordId.
+    if (keywords[end - 1] == std::numeric_limits<KeywordId>::max()) {
+      return fail("object " + std::to_string(e) + " holds keyword id " +
+                  std::to_string(keywords[end - 1]));
+    }
+    corpus.signatures_[e] = signature;
+    corpus.vocab_size_ = std::max(corpus.vocab_size_, keywords[end - 1] + 1);
   }
-  for (uint64_t i = 0; i < count; ++i) {
-    // Canonicalizes (sorts, deduplicates) a document written out of order.
-    corpus.Append(Document(ar.Vec<KeywordId>()).keywords());
-  }
-  corpus.keywords_.shrink_to_fit();
+  corpus.offsets_.assign(offsets.begin(), offsets.end());
+  corpus.keywords_.assign(keywords.begin(), keywords.end());
   return corpus;
 }
 

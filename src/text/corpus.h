@@ -13,15 +13,22 @@
 // keyword signature, the OR of its keywords' SignatureBit()s, so the
 // membership test the query algorithms run on every pivot and list object
 // (footnote 9) usually settles with one load and no search.
+//
+// On disk the corpus is one flat container (common/flat_arena.h) holding the
+// two pool arrays as slabs. The signatures and W are not stored: the load
+// recomputes them in the pass that checks the documents.
 
 #ifndef KWSC_TEXT_CORPUS_H_
 #define KWSC_TEXT_CORPUS_H_
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "common/abi.h"
+#include "common/flat_arena.h"
 #include "common/macros.h"
 #include "text/document.h"
 
@@ -102,10 +109,34 @@ class Corpus {
 
   size_t MemoryBytes() const;
 
-  /// Persists the documents to `out`; Load reconstructs the corpus
-  /// (recomputing weights, vocabulary, and signatures).
+  /// The corpus container's family tag; the 2 names its generation.
+  static constexpr uint32_t kFlatFamilyTag = FlatFamilyTag('K', 'W', 'C', '2');
+
+  /// The container's root: object e's keywords are
+  /// keywords[offsets[e], offsets[e + 1]).
+  struct FlatRoot {
+    uint64_t num_objects;
+    uint64_t total_weight;
+    SlabRef offsets;   // uint64_t, num_objects + 1 entries.
+    SlabRef keywords;  // KeywordId, total_weight entries.
+  };
+
+  /// Writes the corpus as one flat container; Load reads it back.
   void Save(std::ostream* out) const;
+
+  /// Reads one corpus container from `in` and checks it (FromFlat); aborts
+  /// on any failure.
   static Corpus Load(std::istream* in);
+
+  /// The corpus in the container `file` holds, when it passes every check:
+  /// the header and slab bounds, offsets that start at 0, strictly increase
+  /// (no empty document) and end at the keyword count, strictly increasing
+  /// keywords within each document, no keyword id 2^32 - 1 (W must fit a
+  /// KeywordId), and fewer objects than kInvalidObjectId. The first failure
+  /// goes to `sink` and yields nullopt.
+  /// The same pass fills the pool and the signatures.
+  static std::optional<Corpus> FromFlat(const MmapFile& file,
+                                        const FlatErrorSink& sink);
 
  private:
   /// Makes room for `objects` more documents holding `keywords` in total.
@@ -120,6 +151,8 @@ class Corpus {
   std::vector<uint64_t> signatures_;     // One per object.
   uint32_t vocab_size_ = 0;
 };
+
+KWSC_ABI_STRUCT_AS(CorpusFlatRoot, Corpus::FlatRoot);
 
 }  // namespace kwsc
 

@@ -33,8 +33,8 @@ std::string Render(const std::vector<std::string>& lines) {
 }
 
 // A minimal two-file tree: a version table declaring one format, and a
-// header with a registered struct, a padded registered struct, a Save body,
-// and the tag spelling.
+// header with a registered struct, a padded registered struct, the family
+// tag, and a SaveFlat body.
 std::vector<SourceFile> DemoTree() {
   SourceFile versions;
   versions.path = "src/core/format_versions.h";
@@ -60,11 +60,12 @@ KWSC_ABI_STRUCT_PADDED_AS(PadDemo, PadRec);
 
 class Demo {
  public:
-  void Save(std::ostream* out) const {
-    OutputArchive ar(out);
-    ar.Magic("KWDM", kDemoFormatVersion);
-    ar.Pod<uint64_t>(n_);
-    ar.Vec(items_);
+  static constexpr uint32_t kTag = FlatFamilyTag('K', 'W', 'D', 'M');
+
+  void SaveFlat(std::ostream* out) const {
+    FlatArenaWriter writer(kTag);
+    const SlabRef items = writer.Slab<uint64_t>(items_);
+    writer.Root(DemoRec{items.count, 0, {0, 0}});
     SaveExtras(out);
   }
 };
@@ -111,15 +112,16 @@ TEST(AbiModel, ExtractsFormatsStructsSectionsTags) {
   EXPECT_EQ(model.structs[1].type, "PadRec");
 
   ASSERT_EQ(model.sections.size(), 1u);
-  EXPECT_EQ(model.sections[0].function, "Demo::Save");
-  ASSERT_EQ(model.sections[0].ops.size(), 4u);
-  EXPECT_EQ(model.sections[0].ops[0].kind, "Magic");
-  EXPECT_EQ(model.sections[0].ops[0].detail, "\"KWDM\"");
-  EXPECT_EQ(model.sections[0].ops[1].kind, "Pod");
-  EXPECT_EQ(model.sections[0].ops[1].detail, "uint64_t");
-  EXPECT_EQ(model.sections[0].ops[2].kind, "Vec");
-  EXPECT_EQ(model.sections[0].ops[3].kind, "Sub");
-  EXPECT_EQ(model.sections[0].ops[3].detail, "SaveExtras");
+  EXPECT_EQ(model.sections[0].function, "Demo::SaveFlat");
+  ASSERT_EQ(model.sections[0].ops.size(), 3u);
+  EXPECT_EQ(model.sections[0].ops[0].kind, "Slab");
+  EXPECT_EQ(model.sections[0].ops[0].detail,
+            "const SlabRef items=writer.Slab<uint64_t>(items_)");
+  EXPECT_EQ(model.sections[0].ops[1].kind, "Root");
+  EXPECT_EQ(model.sections[0].ops[1].detail,
+            "writer.Root(DemoRec{items.count,0,{0,0}})");
+  EXPECT_EQ(model.sections[0].ops[2].kind, "Sub");
+  EXPECT_EQ(model.sections[0].ops[2].detail, "SaveExtras");
 
   ASSERT_EQ(model.tags.size(), 1u);
   EXPECT_EQ(model.tags[0].tag, "KWDM");
@@ -137,7 +139,9 @@ TEST(AbiModel, UncoveredContributingFileIsAnError) {
 
 TEST(AbiModel, UndeclaredTagIsAnError) {
   std::vector<SourceFile> sources = DemoTree();
-  sources[1].contents += "\ninline constexpr const char* kOther = \"KWZZ\";\n";
+  sources[1].contents +=
+      "\ninline constexpr uint32_t kOther = FlatFamilyTag('K', 'W', 'Z', "
+      "'Z');\n";
   const Model model = BuildModel(sources);
   ASSERT_FALSE(model.errors.empty());
   EXPECT_NE(Render(model.errors).find("'KWZZ' is not declared"),
@@ -208,9 +212,10 @@ TEST(AbiManifest, RendersDeterministicallyWithPaddingRuns) {
             std::string::npos);
   EXPECT_NE(manifest.find("field c uint32_t[2] offset 12 size 4"),
             std::string::npos);
-  EXPECT_NE(manifest.find("section src/core/demo.h Demo::Save"),
+  EXPECT_NE(manifest.find("section src/core/demo.h Demo::SaveFlat"),
             std::string::npos);
-  EXPECT_NE(manifest.find("op Magic \"KWDM\""), std::string::npos);
+  EXPECT_NE(manifest.find("op Slab const SlabRef items=writer.Slab"),
+            std::string::npos);
   // The PADDED struct's alignment gap is recorded as an explicit run, so a
   // gap that moves diffs even when the surviving field offsets do not.
   EXPECT_NE(manifest.find("padding offset 4 len 4"), std::string::npos)

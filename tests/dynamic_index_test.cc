@@ -7,10 +7,11 @@
 // static index over the live object set, the multi-level auditor is clean
 // at every checkpoint, and Compact() after quiescence saves the same flat
 // bytes as a from-scratch build. Plus: checkpoint round-trips (and the
-// rejection of a checkpoint naming an object it does not hold, a level
-// container that is corrupt, foreign or cut short, or a v1 stream),
-// registry-once memory accounting through insert→delete→reinsert cycles, and
-// background merges with concurrent-consistency spot checks.
+// rejection of a checkpoint naming an object it does not hold, listing one
+// twice or losing one, a level container that is corrupt, foreign or cut
+// short, or a "KWDY" stream), registry-once memory accounting through
+// insert→delete→reinsert cycles, and background merges with
+// concurrent-consistency spot checks.
 
 #include <gtest/gtest.h>
 
@@ -270,39 +271,103 @@ TEST(DynamicIndexQueries, NaNBoundsMatchBruteForce) {
   }
 }
 
-// A checkpoint whose buffer names an object the registry does not hold is
-// refused at load, before publishing a snapshot indexes the registry by it.
-TEST(DynamicIndexCheckpointDeath, OutOfRangeBufferIdRejected) {
+void LoadCheckpointBytes(const std::string& bytes) {
+  std::istringstream in(bytes);
+  auto loaded = DynamicIndex<OrpKwIndex<2>>::LoadCheckpoint(&in);
+}
+
+// The root of the checkpoint container, which opens every checkpoint, and
+// its offset in `bytes`.
+PersistedDynamicCheckpoint CheckpointRoot(const std::string& bytes,
+                                          size_t* root_at) {
+  FlatHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  *root_at = header.root_offset;
+  PersistedDynamicCheckpoint root;
+  std::memcpy(&root, bytes.data() + header.root_offset, sizeof(root));
+  return root;
+}
+
+// Overwrites entry `i` of the checkpoint container's ObjectId slab `ref`.
+void SetListedId(std::string* bytes, SlabRef ref, size_t i, ObjectId id) {
+  ASSERT_LT(i, ref.count);
+  std::memcpy(bytes->data() + ref.offset + i * sizeof(ObjectId), &id,
+              sizeof(id));
+}
+
+// Eleven objects through a capacity-8 buffer: 0..7 carry into slot 0 and
+// 8, 9, 10 stay buffered. Objects 2 and 9 are tombstoned.
+std::string LevelAndBufferCheckpoint() {
   FrameworkOptions opt;
   opt.k = 2;
   DynamicIndex<OrpKwIndex<2>> dynamic(opt, /*buffer_capacity=*/8);
-  for (int i = 0; i < 3; ++i) {
-    dynamic.Insert({{0.1 * i, 0.2 * i}}, Document{5, 6});
+  for (int i = 0; i < 11; ++i) {
+    dynamic.Insert({{0.05 * i, 0.3 * (i % 3)}}, Document{5, 6});
   }
+  EXPECT_TRUE(dynamic.Delete(2));
+  EXPECT_TRUE(dynamic.Delete(9));
+  EXPECT_EQ(dynamic.ActiveLevels(), 1u);
   std::ostringstream out;
   dynamic.SaveCheckpoint(&out);
-  std::string bytes = out.str();
-  // All three objects are buffered: the stream holds the id vector {0, 1, 2}
-  // as a uint64 count followed by three uint32 ids. Point its last id far
-  // past the registry.
-  std::string buffer(sizeof(uint64_t) + 3 * sizeof(ObjectId), '\0');
-  const uint64_t count = 3;
-  std::memcpy(buffer.data(), &count, sizeof(count));
-  for (ObjectId id = 0; id < 3; ++id) {
-    std::memcpy(buffer.data() + sizeof(count) + id * sizeof(id), &id,
-                sizeof(id));
-  }
-  const size_t at = bytes.rfind(buffer);
-  ASSERT_NE(at, std::string::npos);
-  const ObjectId bogus = ObjectId{1} << 30;
-  std::memcpy(bytes.data() + at + buffer.size() - sizeof(bogus), &bogus,
-              sizeof(bogus));
-  EXPECT_DEATH(
-      {
-        std::istringstream in(bytes);
-        auto loaded = DynamicIndex<OrpKwIndex<2>>::LoadCheckpoint(&in);
-      },
-      "checkpoint buffer id 1073741824 out of range");
+  return out.str();
+}
+
+TEST(DynamicIndexCheckpoint, LevelAndBufferCheckpointLoads) {
+  const std::string bytes = LevelAndBufferCheckpoint();
+  size_t root_at = 0;
+  const PersistedDynamicCheckpoint root = CheckpointRoot(bytes, &root_at);
+  EXPECT_EQ(root.num_objects, 11u);
+  EXPECT_EQ(root.live_objects, 9u);
+  EXPECT_EQ(root.dead_ids.count, 2u);
+  EXPECT_EQ(root.buffer_ids.count, 3u);
+  EXPECT_EQ(root.level_ids.count, 8u);
+  std::istringstream in(bytes);
+  const auto loaded = DynamicIndex<OrpKwIndex<2>>::LoadCheckpoint(&in);
+  ExpectAuditClean(*loaded);
+  EXPECT_EQ(loaded->live_objects(), 9u);
+}
+
+// A checkpoint whose buffer names an object the registry does not hold is
+// refused at load, before publishing a snapshot indexes the registry by it.
+TEST(DynamicIndexCheckpointDeath, OutOfRangeBufferIdRejected) {
+  std::string bytes = LevelAndBufferCheckpoint();
+  size_t root_at = 0;
+  const PersistedDynamicCheckpoint root = CheckpointRoot(bytes, &root_at);
+  SetListedId(&bytes, root.buffer_ids, 2, ObjectId{1} << 30);
+  EXPECT_DEATH(LoadCheckpointBytes(bytes),
+               "object 1073741824 out of range or listed twice");
+}
+
+// An object both buffered and in a level would be answered twice by every
+// matching query, and the next carry would build a level holding it twice.
+TEST(DynamicIndexCheckpointDeath, ObjectInBufferAndLevelRejected) {
+  std::string bytes = LevelAndBufferCheckpoint();
+  size_t root_at = 0;
+  const PersistedDynamicCheckpoint root = CheckpointRoot(bytes, &root_at);
+  SetListedId(&bytes, root.buffer_ids, 0, 3);  // Object 3 is in slot 0.
+  EXPECT_DEATH(LoadCheckpointBytes(bytes),
+               "object 3 out of range or listed twice");
+}
+
+// A live object in neither the buffer nor a level would be lost silently.
+TEST(DynamicIndexCheckpointDeath, UnlistedLiveObjectRejected) {
+  std::string bytes = LevelAndBufferCheckpoint();
+  size_t root_at = 0;
+  PersistedDynamicCheckpoint root = CheckpointRoot(bytes, &root_at);
+  root.buffer_ids.count = 2;  // Drops buffered object 10.
+  std::memcpy(bytes.data() + root_at, &root, sizeof(root));
+  EXPECT_DEATH(LoadCheckpointBytes(bytes),
+               "live object 10 is in no buffer or level");
+}
+
+// A tombstone listed twice would make live_objects() count it twice.
+TEST(DynamicIndexCheckpointDeath, RepeatedTombstoneRejected) {
+  std::string bytes = LevelAndBufferCheckpoint();
+  size_t root_at = 0;
+  const PersistedDynamicCheckpoint root = CheckpointRoot(bytes, &root_at);
+  SetListedId(&bytes, root.dead_ids, 1, 2);  // {2, 9} -> {2, 2}.
+  EXPECT_DEATH(LoadCheckpointBytes(bytes),
+               "tombstone id 2 out of range or repeated");
 }
 
 // The eight objects of the one-level checkpoint below.
@@ -320,8 +385,7 @@ std::vector<Document> OneLevelDocuments() {
 
 // A checkpoint with one level: the eight objects through a capacity-8
 // buffer carry into slot 0, and that level's flat container ends the
-// stream, right after its byte count. `*container_at` receives the
-// container's offset.
+// stream. `*container_at` receives the container's offset.
 std::string OneLevelCheckpoint(size_t* container_at) {
   FrameworkOptions opt;
   opt.k = 2;
@@ -333,9 +397,9 @@ std::string OneLevelCheckpoint(size_t* container_at) {
   const std::string bytes = out.str();
   const size_t at = bytes.rfind("KWF2");
   EXPECT_NE(at, std::string::npos);
-  uint64_t count = 0;
-  std::memcpy(&count, bytes.data() + at - sizeof(count), sizeof(count));
-  EXPECT_EQ(count, bytes.size() - at);
+  FlatHeader header;
+  std::memcpy(&header, bytes.data() + at, sizeof(header));
+  EXPECT_EQ(header.total_bytes, bytes.size() - at);
   *container_at = at;
   return bytes;
 }
@@ -343,15 +407,7 @@ std::string OneLevelCheckpoint(size_t* container_at) {
 // The one-level checkpoint with its container replaced by `container`.
 std::string WithLevelContainer(const std::string& bytes, size_t at,
                                const std::string& container) {
-  std::string spliced = bytes.substr(0, at - sizeof(uint64_t));
-  const uint64_t count = container.size();
-  spliced.append(reinterpret_cast<const char*>(&count), sizeof(count));
-  return spliced + container;
-}
-
-void LoadCheckpointBytes(const std::string& bytes) {
-  std::istringstream in(bytes);
-  auto loaded = DynamicIndex<OrpKwIndex<2>>::LoadCheckpoint(&in);
+  return bytes.substr(0, at) + container;
 }
 
 // A loaded level keeps its container on the heap: the level's index holds
@@ -419,23 +475,35 @@ TEST(DynamicIndexCheckpointDeath, OtherKLevelContainerRejected) {
                "checkpoint level has k = 3, the index k = 2");
 }
 
-// A stream cut inside a level's container is refused when its byte count is
-// read, before any allocation or attach.
+// A stream cut inside a level's container is refused when the container's
+// header is read, before any allocation or attach.
 TEST(DynamicIndexCheckpointDeath, TruncatedLevelContainerRejected) {
   size_t at = 0;
   const std::string bytes = OneLevelCheckpoint(&at);
   EXPECT_DEATH(LoadCheckpointBytes(bytes.substr(0, at + kFlatAlignment)),
-               "vector length exceeds remaining archive bytes");
+               "exceeds the remaining stream");
 }
 
-// KWDY v1 stored only each level's id list; there is no v1 reader.
-TEST(DynamicIndexCheckpointDeath, VersionOneRejected) {
+// The "KWDY" streams (v1 stored only each level's id list, v2 also its
+// container) have no reader: a file opening with that tag fails the first
+// container's magic.
+TEST(DynamicIndexCheckpointDeath, KwdyStreamRejected) {
+  std::string bytes(kFlatAlignment, '\0');
+  std::memcpy(bytes.data(), "KWDY", 4);
+  const uint32_t v2 = 2;
+  std::memcpy(bytes.data() + 4, &v2, sizeof(v2));
+  EXPECT_DEATH(LoadCheckpointBytes(bytes), "flat magic mismatch");
+}
+
+// A checkpoint container under another family's tag is refused by its tag.
+TEST(DynamicIndexCheckpointDeath, WrongCheckpointTagRejected) {
   size_t at = 0;
   std::string bytes = OneLevelCheckpoint(&at);
-  const uint32_t v1 = 1;
-  std::memcpy(bytes.data() + 4, &v1, sizeof(v1));  // After the "KWDY" tag.
-  EXPECT_DEATH(LoadCheckpointBytes(bytes),
-               "dynamic checkpoint version 1 unsupported");
+  FlatHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  header.family_tag = Corpus::kFlatFamilyTag;
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  EXPECT_DEATH(LoadCheckpointBytes(bytes), "flat family tag mismatch");
 }
 
 // Delete semantics: tombstoning is idempotent, ids are never reused, and

@@ -1,8 +1,8 @@
 // Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
 //
-// Golden-format tests: the committed byte streams under tests/golden/ are
-// the ground truth for the v2 flat format of two persisted families, the
-// corpus stream and the dynamic checkpoint. Three properties per file:
+// Golden-format tests: the committed files under tests/golden/ are the
+// ground truth for the v2 flat format of two persisted families, the corpus
+// container and the dynamic checkpoint. Three properties per file:
 //
 //   1. Regeneration — building the golden workload today and saving it
 //      produces the committed bytes exactly. Any divergence means the
@@ -12,15 +12,23 @@
 //   2. Readability — the committed files load with today's readers.
 //   3. Health — every loaded index passes its deep structural audit, so the
 //      goldens keep exercising the real validation paths, not just framing.
+//
+// The corpus golden also anchors a corruption sweep: every single-byte
+// change and every truncation of it is refused or loads a sound corpus.
 
+#include <algorithm>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 
 #include "audit/index_auditor.h"
 #include "common/flat_arena.h"
+#include "common/random.h"
 #include "core/dynamic_index.h"
 #include "golden_util.h"
 #include "test_util.h"
@@ -61,8 +69,8 @@ TEST(GoldenFormat, RegenerationIsByteIdentical) {
   }
 }
 
-TEST(GoldenFormat, CorpusV1LoadsAndMatches) {
-  std::istringstream in(ReadGolden("corpus_v1.bin"));
+TEST(GoldenFormat, CorpusV2LoadsAndMatches) {
+  std::istringstream in(ReadGolden("corpus_v2.bin"));
   const Corpus loaded = Corpus::Load(&in);
   const Corpus built = golden::MakeCorpus();
   ASSERT_EQ(loaded.num_objects(), built.num_objects());
@@ -72,6 +80,61 @@ TEST(GoldenFormat, CorpusV1LoadsAndMatches) {
       EXPECT_EQ(loaded.Contains(e, w), built.Contains(e, w));
     }
   }
+}
+
+// Every single-byte change (each bit flipped alone, the byte inverted, and
+// one value drawn per byte from a fixed seed) and every truncation of the
+// corpus golden is either refused by the container check through a
+// recording sink, without an abort, or loads through Corpus::Load into a
+// corpus whose documents are non-empty, sorted and distinct, with N their
+// total size. Both halves must occur. Runs under the sanitizer presets too.
+TEST(GoldenFormat, CorpusV2CorruptionSweep) {
+  const std::string golden = ReadGolden("corpus_v2.bin");
+  ASSERT_FALSE(golden.empty());
+  size_t refused = 0;
+  size_t loaded = 0;
+  const auto check = [&](const std::string& bytes) {
+    std::vector<std::string> complaints;
+    const FlatErrorSink record = [&complaints](const std::string& message) {
+      complaints.push_back(message);
+    };
+    if (!Corpus::FromFlat(*MmapFile::FromBytes(bytes), record).has_value()) {
+      EXPECT_EQ(complaints.size(), 1u);
+      ++refused;
+      return;
+    }
+    EXPECT_TRUE(complaints.empty());
+    std::istringstream in(bytes);
+    const Corpus corpus = Corpus::Load(&in);
+    uint64_t weight = 0;
+    for (ObjectId e = 0; e < corpus.num_objects(); ++e) {
+      const DocumentView doc = corpus.doc(e);
+      EXPECT_GT(doc.size(), 0u) << e;
+      EXPECT_EQ(std::adjacent_find(doc.begin(), doc.end(),
+                                   std::greater_equal<KeywordId>()),
+                doc.end())
+          << e;
+      weight += doc.size();
+    }
+    EXPECT_EQ(weight, corpus.total_weight());
+    ++loaded;
+  };
+  Rng rng(26);
+  for (size_t at = 0; at < golden.size(); ++at) {
+    std::vector<uint8_t> masks = {0xFF};
+    for (int bit = 0; bit < 8; ++bit) masks.push_back(uint8_t{1} << bit);
+    masks.push_back(static_cast<uint8_t>(1 + rng.NextBounded(255)));
+    for (const uint8_t mask : masks) {
+      std::string changed = golden;
+      changed[at] = static_cast<char>(changed[at] ^ mask);
+      check(changed);
+    }
+  }
+  for (size_t size = 0; size < golden.size(); ++size) {
+    check(golden.substr(0, size));
+  }
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(loaded, 0u);
 }
 
 TEST(GoldenFormat, OrpKwV2LoadsAuditClean) {
@@ -90,8 +153,8 @@ TEST(GoldenFormat, SpKwBoxV2LoadsAuditClean) {
   testing::ExpectAuditClean(loaded);
 }
 
-TEST(GoldenFormat, DynamicCheckpointV2LoadsAuditCleanAndMatchesReplay) {
-  std::istringstream in(ReadGolden("dynamic_checkpoint_v2.bin"));
+TEST(GoldenFormat, DynamicCheckpointV3LoadsAuditCleanAndMatchesReplay) {
+  std::istringstream in(ReadGolden("dynamic_checkpoint_v3.bin"));
   const auto loaded = DynamicIndex<OrpKwIndex<2>>::LoadCheckpoint(&in);
   ASSERT_NE(loaded, nullptr);
   testing::ExpectAuditClean(*loaded);
@@ -110,7 +173,7 @@ TEST(GoldenFormat, DynamicCheckpointV2LoadsAuditCleanAndMatchesReplay) {
   }
   std::ostringstream resaved;
   loaded->SaveCheckpoint(&resaved);
-  EXPECT_EQ(resaved.str(), ReadGolden("dynamic_checkpoint_v2.bin"));
+  EXPECT_EQ(resaved.str(), ReadGolden("dynamic_checkpoint_v3.bin"));
 }
 
 // The queries a fresh build answers, the golden-loaded indexes must answer

@@ -2,9 +2,9 @@
 //
 // The golden-format dataset: a tiny hand-written workload (no generators,
 // no Rng — the bytes must be a pure function of the format code) and the
-// exact byte streams the committed files under tests/golden/ were produced
-// from: the corpus and dynamic-checkpoint streams and the flat index
-// containers. Shared by tests/golden_format_test.cc (regenerate,
+// exact bytes the committed files under tests/golden/ were produced from:
+// the corpus container, the dynamic checkpoint's container sequence and the
+// flat index containers. Shared by tests/golden_format_test.cc (regenerate,
 // byte-compare, load, audit) and tests/make_golden.cc (the one-shot writer
 // that created the committed files).
 //
@@ -60,7 +60,7 @@ inline FrameworkOptions MakeOptions() {
   return opt;
 }
 
-/// The batch-dynamic index whose "KWDY" checkpoint is golden-locked: the
+/// The batch-dynamic index whose checkpoint is golden-locked: the
 /// same 8 objects inserted one at a time through a capacity-2 buffer (so
 /// several binary-counter carries fire), then two tombstones. Synchronous
 /// carries (no merge pool), so the structure is a pure function of the
@@ -94,7 +94,7 @@ inline std::vector<GoldenFile> RenderAll() {
   {
     std::ostringstream out;
     corpus.Save(&out);
-    files.push_back({"corpus_v1.bin", out.str()});
+    files.push_back({"corpus_v2.bin", out.str()});
   }
   {
     std::ostringstream out;
@@ -109,7 +109,7 @@ inline std::vector<GoldenFile> RenderAll() {
   {
     std::ostringstream out;
     MakeDynamic()->SaveCheckpoint(&out);
-    files.push_back({"dynamic_checkpoint_v2.bin", out.str()});
+    files.push_back({"dynamic_checkpoint_v3.bin", out.str()});
   }
   return files;
 }

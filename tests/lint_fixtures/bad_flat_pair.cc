@@ -10,8 +10,6 @@
 
 namespace kwsc {
 
-struct OutputArchive;
-struct InputArchive;
 struct MmapFile;
 
 // Violation 1: a flat writer with no flat reader in the same file.
@@ -32,45 +30,20 @@ struct MissingSaveFlat {
   }
 };
 
-// Violation 3: the v1 Save/Load pair is skewed even though a correct flat
-// pair coexists. Pairing by owner alone would count two save functions and
-// silently skip this check; exact-name pairing must still catch it.
-struct SkewedV1WithFlat {
-  std::vector<uint32_t> items;
-  uint64_t weight = 0;
-
-  void Save(OutputArchive* ar) const {
-    ar->Vec(items);
-    ar->Pod(weight);
-  }
-  void Load(InputArchive* ar) {
-    items = ar->Vec<uint32_t>();
-    // seeded violation: forgot to read weight
-  }
-  void SaveFlat(std::ostream* out, uint32_t family_tag) const {
-    write_bytes(out, family_tag);
-  }
-  static SkewedV1WithFlat LoadFlat(std::shared_ptr<const MmapFile> file,
-                                   uint64_t offset) {
-    return SkewedV1WithFlat{};
-  }
-  void write_bytes(std::ostream* out, uint32_t tag) const;
-};
-
-// Control: symmetric v1 pair plus a complete flat pair is clean.
+// Control: a complete flat pair, one side out of line, is clean.
 struct FlatControl {
   std::vector<uint32_t> items;
 
-  void Save(OutputArchive* ar) const { ar->Vec(items); }
-  void Load(InputArchive* ar) { items = ar->Vec<uint32_t>(); }
-  void SaveFlat(std::ostream* out, uint32_t family_tag) const {
-    write_bytes(out, family_tag);
-  }
+  void SaveFlat(std::ostream* out, uint32_t family_tag) const;
   static FlatControl LoadFlat(std::shared_ptr<const MmapFile> file,
                               uint64_t offset) {
     return FlatControl{};
   }
   void write_bytes(std::ostream* out, uint32_t tag) const;
 };
+
+void FlatControl::SaveFlat(std::ostream* out, uint32_t family_tag) const {
+  write_bytes(out, family_tag);
+}
 
 }  // namespace kwsc

@@ -17,6 +17,7 @@
 
 #include "obs/metrics.h"
 
+#include "common/ops_budget.h"
 #include "common/random.h"
 #include "core/orp_kw.h"
 #include "core/rr_kw.h"
@@ -199,6 +200,60 @@ TEST(QueryEngine, TracingIsInvisibleToResultsAndStats) {
 }
 
 // The registry accumulates engine.* metrics across batches.
+// Hands every query a fresh budget of three operations, far below the work
+// of any query below.
+struct TinyBudgetView {
+  using BoxType = Box<2>;
+  const OrpKwIndex<2>* index;
+
+  std::vector<ObjectId> Query(const Box<2>& q,
+                              std::span<const KeywordId> keywords,
+                              QueryStats* stats) const {
+    OpsBudget budget(3);
+    return index->Query(q, keywords, stats, &budget);
+  }
+};
+
+// Every query that exhausts its budget counts once, traced or not: the
+// count is per query, not per flip of a shard's sticky flag.
+TEST(QueryEngine, CountsEveryExhaustedQueryWithAndWithoutTracing) {
+  Rng rng(8209);
+  CorpusSpec spec;
+  spec.num_objects = 2000;
+  spec.vocab_size = 40;
+  Corpus corpus = GenerateCorpus(spec, &rng);
+  auto pts = GeneratePoints<2>(2000, PointDistribution::kUniform, &rng);
+  FrameworkOptions opt;
+  opt.k = 2;
+  const OrpKwIndex<2> index(pts, &corpus, opt);
+  const TinyBudgetView view{&index};
+  std::vector<BatchQuery<Box<2>>> batch;
+  for (int i = 0; i < 16; ++i) {
+    batch.push_back({Box<2>{{{0.0, 0.0}}, {{1.0, 1.0}}},
+                     PickQueryKeywords(corpus, 2, KeywordPick::kFrequent,
+                                       &rng)});
+  }
+  uint64_t expected = 0;
+  for (const auto& q : batch) {
+    QueryStats stats;
+    view.Query(q.region, q.keywords, &stats);
+    expected += stats.budget_exhausted ? 1 : 0;
+  }
+  ASSERT_EQ(expected, batch.size());
+  for (const bool tracing : {false, true}) {
+    for (const int threads : {1, 4}) {
+      FrameworkOptions engine_options;
+      engine_options.num_threads = threads;
+      engine_options.enable_tracing = tracing;
+      QueryEngine<TinyBudgetView> engine(&view, engine_options);
+      const auto result = engine.Run(batch);
+      EXPECT_EQ(result.budget_exhaustions, expected)
+          << "tracing=" << tracing << " threads=" << threads;
+      EXPECT_TRUE(result.stats.budget_exhausted);
+    }
+  }
+}
+
 TEST(QueryEngine, RegistryAccumulatesAcrossRuns) {
   Rng rng(8207);
   CorpusSpec spec;

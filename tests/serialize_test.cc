@@ -1,196 +1,159 @@
 // Copyright 2026 The kwsc Authors. Licensed under the Apache License 2.0.
 //
-// Round-trip tests for the stream persistence layer: the archives and the
-// corpus (KWCP) stream built on them. Indexes persist only as v2 flat
-// containers; tests/flat_layout_test.cc covers those.
+// Tests for the stream side of the flat containers: ReadFlatContainer, the
+// one reader every persisted stream goes through (the corpus, the dynamic
+// checkpoint's container sequence), and the corpus container built on it.
+// The containers' layout checks are in tests/flat_layout_test.cc, and the
+// corpus golden's corruption sweep in tests/golden_format_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/flat_arena.h"
 #include "common/random.h"
-#include "common/serialize.h"
-#include "core/format_versions.h"
 #include "text/corpus.h"
 #include "workload/generator.h"
 
 namespace kwsc {
 namespace {
 
-TEST(Archive, PodAndVecRoundTrip) {
-  std::stringstream stream;
-  {
-    OutputArchive ar(&stream);
-    ar.Magic("TEST", 7);
-    ar.Pod<uint32_t>(42);
-    ar.Pod<double>(3.25);
-    ar.Vec(std::vector<uint64_t>{1, 2, 3});
-    ar.Vec(std::vector<uint16_t>{});
-    ASSERT_TRUE(ar.ok());
-  }
-  InputArchive ar(&stream);
-  EXPECT_EQ(ar.Magic("TEST"), 7u);
-  EXPECT_EQ(ar.Pod<uint32_t>(), 42u);
-  EXPECT_EQ(ar.Pod<double>(), 3.25);
-  EXPECT_EQ(ar.Vec<uint64_t>(), (std::vector<uint64_t>{1, 2, 3}));
-  EXPECT_TRUE(ar.Vec<uint16_t>().empty());
+constexpr uint32_t kTestTag = FlatFamilyTag('T', 'E', 'S', 'T');
+
+struct TestRoot {
+  uint64_t value;
+  SlabRef items;
+};
+
+/// One container holding `items` and `value`.
+std::string TestContainer(const std::vector<uint64_t>& items,
+                          uint64_t value) {
+  FlatArenaWriter writer(kTestTag);
+  TestRoot root{};
+  root.value = value;
+  root.items = writer.Slab<uint64_t>(items);
+  writer.Root(root);
+  return writer.Finish();
 }
 
-TEST(ArchiveDeath, WrongMagicAborts) {
-  std::stringstream stream;
-  {
-    OutputArchive ar(&stream);
-    ar.Magic("AAAA", 1);
-  }
-  InputArchive ar(&stream);
-  EXPECT_DEATH(ar.Magic("BBBB"), "magic mismatch");
+/// Reads one container from `in` and returns its items and value.
+std::pair<std::vector<uint64_t>, uint64_t> ReadTestContainer(
+    std::istream* in) {
+  const std::shared_ptr<const MmapFile> file = ReadFlatContainer(in);
+  const FlatArenaReader reader(*file, 0, kTestTag);
+  const TestRoot& root = reader.Root<TestRoot>();
+  const std::span<const uint64_t> items = reader.Slab<uint64_t>(root.items);
+  return {{items.begin(), items.end()}, root.value};
 }
 
-TEST(ArchiveDeath, TruncatedInputAborts) {
-  std::stringstream stream;
-  {
-    OutputArchive ar(&stream);
-    ar.Pod<uint16_t>(1);
+/// A stream buffer that cannot seek, like a pipe: tellg() reports -1.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
   }
-  InputArchive ar(&stream);
-  EXPECT_DEATH(ar.Pod<uint64_t>(), "truncated");
+
+ private:
+  std::string bytes_;
+};
+
+TEST(FlatStream, ReadsConsecutiveContainersAndStopsAtTheNext) {
+  std::stringstream stream;
+  stream << TestContainer({1, 2, 3}, 7) << TestContainer({}, 9);
+  stream << "tail";
+  const auto first = ReadTestContainer(&stream);
+  EXPECT_EQ(first.first, (std::vector<uint64_t>{1, 2, 3}));
+  EXPECT_EQ(first.second, 7u);
+  const auto second = ReadTestContainer(&stream);
+  EXPECT_TRUE(second.first.empty());
+  EXPECT_EQ(second.second, 9u);
+  std::string rest;
+  stream >> rest;
+  EXPECT_EQ(rest, "tail");
 }
 
-TEST(ArchiveDeath, VecLengthBeyondStreamAborts) {
-  // A corrupt archive declaring a (plausible-looking) length far beyond the
-  // bytes actually present must die in the remaining-bytes clamp, before
-  // the allocation of size * sizeof(T).
-  std::stringstream stream;
-  {
-    OutputArchive ar(&stream);
-    ar.Pod<uint64_t>(uint64_t{1} << 30);  // claims 2^30 elements...
-    ar.Pod<uint32_t>(7);                  // ...but only 4 bytes follow
-  }
-  InputArchive ar(&stream);
-  EXPECT_DEATH(ar.Vec<uint64_t>(), "exceeds remaining archive bytes");
+TEST(FlatStream, ContainerEndingExactlyAtStreamEndReads) {
+  const std::string bytes = TestContainer({4, 5}, 1);
+  std::istringstream stream(bytes);
+  EXPECT_EQ(ReadTestContainer(&stream).first, (std::vector<uint64_t>{4, 5}));
+  EXPECT_EQ(stream.peek(), std::char_traits<char>::eof());
 }
 
-TEST(ArchiveDeath, VecLengthSlightlyBeyondStreamAborts) {
-  // Off-by-one at the boundary: N elements declared, N-1 present.
-  std::stringstream stream;
-  {
-    OutputArchive ar(&stream);
-    ar.Pod<uint64_t>(4);
-    ar.Pod<uint32_t>(1);
-    ar.Pod<uint32_t>(2);
-    ar.Pod<uint32_t>(3);
-  }
-  InputArchive ar(&stream);
-  EXPECT_DEATH(ar.Vec<uint32_t>(), "exceeds remaining archive bytes");
+TEST(FlatStream, NonSeekableStreamReads) {
+  PipeBuf pipe(TestContainer({6, 7, 8}, 2));
+  std::istream stream(&pipe);
+  ASSERT_EQ(stream.tellg(), std::istream::pos_type(-1));
+  EXPECT_EQ(ReadTestContainer(&stream).first,
+            (std::vector<uint64_t>{6, 7, 8}));
 }
 
-TEST(ArchiveDeath, VecLengthBeyondFileEndAborts) {
-  // Through a std::filebuf the clamp takes the buffered byte count when it
-  // covers a vector and measures from the end cached at construction when
-  // it does not. The small vectors cross several buffer refills; the last
-  // one, an element short, must still die.
-  const std::string path = ::testing::TempDir() + "kwsc_serialize_vecs.bin";
+TEST(FlatStreamDeath, WrongMagicAborts) {
+  std::string bytes = TestContainer({1}, 1);
+  bytes[3] = '1';  // "KWF1"
+  std::istringstream stream(bytes);
+  EXPECT_DEATH(ReadFlatContainer(&stream), "flat magic mismatch");
+}
+
+TEST(FlatStreamDeath, TruncatedHeaderAborts) {
+  const std::string bytes = TestContainer({1}, 1);
+  std::istringstream stream(bytes.substr(0, sizeof(FlatHeader) - 1));
+  EXPECT_DEATH(ReadFlatContainer(&stream), "truncated flat container header");
+}
+
+TEST(FlatStreamDeath, TotalBytesBeyondStreamAborts) {
+  // A corrupt header declaring far more bytes than the stream holds dies in
+  // the remaining-bytes check, before allocating total_bytes.
+  std::string bytes = TestContainer({1, 2}, 1);
+  FlatHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  header.total_bytes = uint64_t{1} << 36;
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  std::istringstream stream(bytes);
+  EXPECT_DEATH(ReadFlatContainer(&stream), "exceeds the remaining stream");
+}
+
+TEST(FlatStreamDeath, TotalBytesOneQuantumBeyondStreamAborts) {
+  // Off by one alignment quantum at the boundary: the container's last 64
+  // bytes are missing.
+  const std::string bytes = TestContainer({1, 2, 3}, 1);
+  std::istringstream stream(bytes.substr(0, bytes.size() - kFlatAlignment));
+  EXPECT_DEATH(ReadFlatContainer(&stream), "exceeds the remaining stream");
+}
+
+TEST(FlatStreamDeath, TotalBytesBeyondFileEndAborts) {
+  // Through a std::filebuf the end is measured from the file: after many
+  // containers read through the buffer, the last one, cut short, must
+  // still die before its allocation.
+  const std::string path = ::testing::TempDir() + "kwsc_flat_stream.bin";
+  const std::string last = TestContainer({1, 2, 3, 4, 5, 6, 7, 8, 9}, 3);
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    OutputArchive ar(&out);
-    for (uint32_t i = 0; i < 5000; ++i) {
-      ar.Vec(std::vector<uint32_t>{i, i + 1, i + 2});
-    }
-    ar.Pod<uint64_t>(3);
-    ar.Pod<uint32_t>(1);
-    ar.Pod<uint32_t>(2);
+    for (uint64_t i = 0; i < 500; ++i) out << TestContainer({i, i + 1}, i);
+    out << last.substr(0, last.size() - kFlatAlignment);
   }
   const auto read_all = [&path] {
     std::ifstream in(path, std::ios::binary);
-    InputArchive ar(&in);
-    for (uint32_t i = 0; i < 5000; ++i) {
-      KWSC_CHECK(ar.Vec<uint32_t>() ==
-                 (std::vector<uint32_t>{i, i + 1, i + 2}));
+    for (uint64_t i = 0; i < 500; ++i) {
+      KWSC_CHECK(ReadTestContainer(&in).first ==
+                 (std::vector<uint64_t>{i, i + 1}));
     }
-    ar.Vec<uint32_t>();
+    ReadFlatContainer(&in);
   };
-  EXPECT_DEATH(read_all(), "exceeds remaining archive bytes");
+  EXPECT_DEATH(read_all(), "exceeds the remaining stream");
   std::remove(path.c_str());
 }
 
-TEST(ArchiveDeath, CorpusCountBeyondStreamAborts) {
-  // A KWCP stream declaring more documents than its bytes can hold (each
-  // takes at least its 8-byte length prefix) must die in the count check,
-  // not in the reserve for them (std::bad_alloc, std::length_error).
-  for (const uint64_t count : {uint64_t{1} << 40, uint64_t{1} << 61}) {
-    std::stringstream stream;
-    {
-      OutputArchive ar(&stream);
-      ar.Magic("KWCP", kCorpusFormatVersion);
-      ar.Pod<uint64_t>(count);
-      ar.Vec(std::vector<KeywordId>{1, 2});
-    }
-    EXPECT_DEATH(Corpus::Load(&stream),
-                 "document count [0-9]+ exceeds remaining archive bytes");
-  }
-}
-
-TEST(Archive, BufferedWriterMatchesUnbufferedByteForByte) {
-  // The coalescing buffer is a pure transport optimization: the byte stream
-  // must equal one produced by writing each value straight to the stream.
-  std::stringstream buffered;
-  std::stringstream raw;
-  std::vector<uint64_t> big(20000);
-  for (size_t i = 0; i < big.size(); ++i) big[i] = i * 2654435761u;
-  {
-    OutputArchive ar(&buffered);
-    ar.Magic("TEST", 3);
-    for (uint32_t i = 0; i < 5000; ++i) ar.Pod<uint32_t>(i);  // Many tiny Pods.
-    ar.Vec(big);  // One payload far beyond the flush threshold.
-    ar.Pod<uint8_t>(0xAB);
-  }
-  {
-    raw.write("TEST", 4);
-    const uint32_t version = 3;
-    raw.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    for (uint32_t i = 0; i < 5000; ++i) {
-      raw.write(reinterpret_cast<const char*>(&i), sizeof(i));
-    }
-    const uint64_t count = big.size();
-    raw.write(reinterpret_cast<const char*>(&count), sizeof(count));
-    raw.write(reinterpret_cast<const char*>(big.data()),
-              static_cast<std::streamsize>(big.size() * sizeof(uint64_t)));
-    const uint8_t tail = 0xAB;
-    raw.write(reinterpret_cast<const char*>(&tail), sizeof(tail));
-  }
-  EXPECT_EQ(buffered.str(), raw.str());
-}
-
-TEST(Archive, FlushOrdersBufferedBytesBeforeRawStreamWrites) {
-  // The nested-save hazard: a live archive plus a direct stream write must
-  // produce bytes in program order once Flush() is called in between (see
-  // OutputArchive's class comment).
-  std::stringstream stream;
-  {
-    OutputArchive ar(&stream);
-    ar.Pod<uint32_t>(0x11111111);
-    ar.Flush();
-    const uint32_t nested = 0x22222222;
-    stream.write(reinterpret_cast<const char*>(&nested), sizeof(nested));
-    ar.Pod<uint32_t>(0x33333333);
-  }
-  InputArchive in(&stream);
-  EXPECT_EQ(in.Pod<uint32_t>(), 0x11111111u);
-  EXPECT_EQ(in.Pod<uint32_t>(), 0x22222222u);
-  EXPECT_EQ(in.Pod<uint32_t>(), 0x33333333u);
-}
-
-TEST(Archive, VecLengthExactlyAtStreamEndReads) {
-  std::stringstream stream;
-  {
-    OutputArchive ar(&stream);
-    ar.Vec(std::vector<uint32_t>{1, 2, 3});
-  }
-  InputArchive ar(&stream);
-  EXPECT_EQ(ar.Vec<uint32_t>(), (std::vector<uint32_t>{1, 2, 3}));
+TEST(FlatStreamDeath, TruncatedNonSeekableStreamAborts) {
+  // A pipe cannot say where it ends, so the read itself comes up short.
+  const std::string bytes = TestContainer({1, 2, 3}, 1);
+  PipeBuf pipe(bytes.substr(0, bytes.size() - kFlatAlignment));
+  std::istream stream(&pipe);
+  EXPECT_DEATH(ReadFlatContainer(&stream), "truncated flat container");
 }
 
 TEST(CorpusSerialize, RoundTripPreservesEverything) {
@@ -205,8 +168,40 @@ TEST(CorpusSerialize, RoundTripPreservesEverything) {
   ASSERT_EQ(loaded.num_objects(), original.num_objects());
   EXPECT_EQ(loaded.total_weight(), original.total_weight());
   EXPECT_EQ(loaded.vocab_size(), original.vocab_size());
+  EXPECT_EQ(loaded.MemoryBytes(), original.MemoryBytes());
   for (ObjectId e = 0; e < original.num_objects(); ++e) {
     EXPECT_EQ(loaded.doc(e), original.doc(e));
+  }
+  // The file is the two pool arrays plus framing: 8 B per document and 4 B
+  // per keyword, one more offset, and at most four alignment quanta.
+  const size_t pools = (original.num_objects() + 1) * sizeof(uint64_t) +
+                       original.total_weight() * sizeof(KeywordId);
+  EXPECT_GE(stream.str().size(), pools);
+  EXPECT_LE(stream.str().size(), pools + 4 * kFlatAlignment);
+}
+
+TEST(CorpusSerialize, EmptyCorpusRoundTrips) {
+  std::stringstream stream;
+  Corpus().Save(&stream);
+  const Corpus loaded = Corpus::Load(&stream);
+  EXPECT_EQ(loaded.num_objects(), 0u);
+  EXPECT_EQ(loaded.total_weight(), 0u);
+}
+
+TEST(CorpusSerializeDeath, ObjectCountBeyondObjectIdRangeAborts) {
+  // A corpus root claiming more objects than an ObjectId can name is
+  // refused before its offsets slab is read.
+  std::stringstream saved;
+  Corpus({Document{1, 2}}).Save(&saved);
+  std::string bytes = saved.str();
+  FlatHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  for (const uint64_t count : {uint64_t{kInvalidObjectId}, uint64_t{1} << 61}) {
+    std::string corrupt = bytes;
+    std::memcpy(corrupt.data() + header.root_offset, &count, sizeof(count));
+    std::istringstream stream(corrupt);
+    EXPECT_DEATH(Corpus::Load(&stream),
+                 "object count [0-9]+ exceeds the ObjectId range");
   }
 }
 

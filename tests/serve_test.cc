@@ -15,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "common/ops_budget.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/dynamic_index.h"
@@ -271,9 +272,22 @@ TEST(Coordinator, ShardBudgetsSurfaceExhaustion) {
   Coordinator<OrpKwIndex<2>> coordinator(plan, data.points, data.corpus, opt,
                                          serve, &registry);
   const auto result = coordinator.Run(batch);
-  EXPECT_GT(result.budget_exhaustions, 0u);
+  // Every (query, shard) pair whose shard-local query runs out of its
+  // budget counts once.
+  uint64_t expected = 0;
+  for (size_t s = 0; s < coordinator.num_shards(); ++s) {
+    for (const auto& q : batch) {
+      QueryStats stats;
+      OpsBudget budget(serve.per_shard_query_ops);
+      coordinator.replica(s).index().Query(q.region, q.keywords, &stats,
+                                           &budget);
+      expected += stats.budget_exhausted ? 1 : 0;
+    }
+  }
+  EXPECT_GT(expected, coordinator.num_shards());
+  EXPECT_EQ(result.budget_exhaustions, expected);
   EXPECT_TRUE(result.stats.budget_exhausted);
-  EXPECT_GT(registry.CounterValue("serve.budget_exhausted"), 0u);
+  EXPECT_EQ(registry.CounterValue("serve.budget_exhausted"), expected);
 }
 
 TEST(Coordinator, RegistryCountersAndFanout) {

@@ -8,9 +8,8 @@
 #include <map>
 #include <sstream>
 
+#include "common/flat_arena.h"
 #include "common/random.h"
-#include "common/serialize.h"
-#include "core/format_versions.h"
 #include "text/corpus.h"
 #include "text/document.h"
 #include "text/inverted_index.h"
@@ -160,39 +159,49 @@ TEST(Corpus, SaveLoadCopyMatchesBuiltCorpus) {
   EXPECT_EQ(loaded.MemoryBytes(), built.MemoryBytes());
 }
 
-std::string KwcpStream(const std::vector<std::vector<KeywordId>>& docs) {
-  std::stringstream stream;
-  {
-    OutputArchive ar(&stream);
-    ar.Magic("KWCP", kCorpusFormatVersion);
-    ar.Pod<uint64_t>(docs.size());
-    for (const std::vector<KeywordId>& doc : docs) ar.Vec(doc);
+/// A corpus container holding `docs` as given: no sort, no deduplication,
+/// empty documents kept. Corpus::Save only writes checked corpora, so the
+/// refusals below need the container built by hand.
+std::string CorpusContainer(const std::vector<std::vector<KeywordId>>& docs) {
+  std::vector<uint64_t> offsets = {0};
+  std::vector<KeywordId> keywords;
+  for (const std::vector<KeywordId>& doc : docs) {
+    keywords.insert(keywords.end(), doc.begin(), doc.end());
+    offsets.push_back(keywords.size());
   }
-  return stream.str();
+  FlatArenaWriter writer(Corpus::kFlatFamilyTag);
+  Corpus::FlatRoot root{};
+  root.num_objects = docs.size();
+  root.total_weight = keywords.size();
+  root.offsets = writer.Slab<uint64_t>(offsets);
+  root.keywords = writer.Slab<KeywordId>(keywords);
+  writer.Root(root);
+  return writer.Finish();
 }
 
-TEST(Corpus, LoadCanonicalizesUnsortedAndDuplicatedDocuments) {
-  std::stringstream messy(KwcpStream({{9, 3, 7}, {4, 4, 1, 4}, {2}}));
-  std::stringstream sorted(KwcpStream({{3, 7, 9}, {1, 4}, {2}}));
-  const Corpus a = Corpus::Load(&messy);
-  const Corpus b = Corpus::Load(&sorted);
-  ASSERT_EQ(a.num_objects(), 3u);
-  ASSERT_EQ(b.num_objects(), 3u);
-  for (ObjectId e = 0; e < 3; ++e) EXPECT_EQ(a.doc(e), b.doc(e)) << e;
-  EXPECT_EQ(a.total_weight(), 6u);
-  EXPECT_EQ(a.total_weight(), b.total_weight());
-  EXPECT_EQ(a.vocab_size(), b.vocab_size());
-  EXPECT_EQ(a.MemoryBytes(), b.MemoryBytes());
-  const std::vector<KeywordId> q = {1, 4};
-  EXPECT_TRUE(a.ContainsAll(1, q));
-  EXPECT_FALSE(a.ContainsAll(0, q));
+TEST(Corpus, HandBuiltContainerMatchesSave) {
+  std::stringstream saved;
+  MakeCorpus({{3, 7, 9}, {1, 4}, {2}}).Save(&saved);
+  EXPECT_EQ(saved.str(), CorpusContainer({{3, 7, 9}, {1, 4}, {2}}));
+}
+
+TEST(CorpusDeath, LoadRefusesUnsortedAndDuplicatedDocuments) {
+  // A document out of order or holding a keyword twice is refused, not
+  // canonicalized: a corpus file is what Save wrote.
+  for (const auto& docs : std::vector<std::vector<std::vector<KeywordId>>>{
+           {{3, 7, 9}, {4, 1}, {2}}, {{3, 7, 9}, {1, 4, 4}, {2}}}) {
+    std::stringstream stream(CorpusContainer(docs));
+    EXPECT_DEATH(Corpus::Load(&stream),
+                 "object 1 has keywords out of order or repeated");
+  }
 }
 
 TEST(CorpusDeath, EmptyDocumentAborts) {
   EXPECT_DEATH(Corpus({Document{1}, Document{}}),
                "object 1 has an empty document");
-  std::stringstream stream(KwcpStream({{1}, {}}));
-  EXPECT_DEATH(Corpus::Load(&stream), "object 1 has an empty document");
+  std::stringstream stream(CorpusContainer({{1}, {}}));
+  EXPECT_DEATH(Corpus::Load(&stream),
+               "object 1 has an empty or out-of-range document");
 }
 
 TEST(InvertedIndex, PostingsAreSortedAndComplete) {

@@ -242,34 +242,16 @@ std::pair<size_t, size_t> StatementBounds(const std::vector<Token>& toks,
   return {begin, end};
 }
 
-/// Ordered format ops of a function body: v1 archive ops (Magic/Pod/Vec),
-/// v2 slab ops (Slab/Root — the Ok validation variants read the same
-/// layouts and are deliberately not part of the locked sequence), and
-/// nested Save*/Load* calls.
+/// Ordered format ops of a function body: slab ops (Slab/Root — the Ok
+/// validation variants read the same layouts and are deliberately not part
+/// of the locked sequence) and nested Save*/Load* calls.
 std::vector<FormatOp> ExtractFormatOps(const std::vector<Token>& toks,
                                        size_t begin, size_t end) {
   std::vector<FormatOp> ops;
   for (size_t j = begin; j < end; ++j) {
     if (toks[j].kind != Token::kIdent || j + 1 >= end) continue;
     const std::string& name = toks[j].text;
-    if (name == "Magic" && toks[j + 1].text == "(") {
-      std::string tag;
-      if (j + 2 < end && toks[j + 2].kind == Token::kString) {
-        tag = toks[j + 2].text;
-      }
-      ops.push_back({"Magic", tag, toks[j].line});
-    } else if (name == "Pod" || name == "Vec") {
-      if (toks[j + 1].text == "<") {
-        const size_t targs_close = MatchingClose(toks, j + 1);
-        if (targs_close < end && targs_close + 1 < toks.size() &&
-            toks[targs_close + 1].text == "(") {
-          ops.push_back(
-              {name, CompactSpelling(toks, j + 2, targs_close), toks[j].line});
-        }
-      } else if (toks[j + 1].text == "(") {
-        ops.push_back({name, "", toks[j].line});
-      }
-    } else if (name == "Slab" || name == "Root") {
+    if (name == "Slab" || name == "Root") {
       // Only member-access spellings (writer.Slab, reader->Slab,
       // reader.template Root<...>) are arena ops; a qualified Root(...)
       // elsewhere is just a name collision.
@@ -422,24 +404,8 @@ Model BuildModel(const std::vector<SourceFile>& sources) {
       }
     }
 
-    // 4-char "KW.." string literals are tag spellings (Magic() framing,
-    // header memcmp checks).
-    for (const Token& tok : toks) {
-      if (tok.kind != Token::kString || tok.text.size() != 6) continue;
-      const std::string inner = tok.text.substr(1, 4);
-      if (inner[0] != 'K' || inner[1] != 'W') continue;
-      bool tag_like = true;
-      for (char c : inner) {
-        if (std::isupper(static_cast<unsigned char>(c)) == 0 &&
-            std::isdigit(static_cast<unsigned char>(c)) == 0) {
-          tag_like = false;
-        }
-      }
-      if (tag_like) model.tags.push_back({inner, file.path, tok.line});
-    }
-
     // --- Save/Load op-sequence sections ------------------------------------
-    // The same function-definition walk kwsc-lint's archive-symmetry pass
+    // The same function-definition walk kwsc-lint's function-structure pass
     // uses: class-context stack, keyword screen, body detection.
     std::vector<std::pair<std::string, size_t>> class_stack;
     std::string pending_class;

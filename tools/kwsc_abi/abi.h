@@ -2,11 +2,11 @@
 //
 // kwsc-abi: the format-contract extractor behind FORMATS.lock.
 //
-// Everything kwsc persists or ships — v1 stream archives, v2 mmap flat
-// containers, the serve wire model — is defined by C++ constructs scattered
-// across src/: structs reinterpreted from mapped bytes, Magic(tag, version)
-// framing, ordered Pod/Vec op sequences, slab-write sequences. This tool
-// extracts all of them into one canonical committed manifest (FORMATS.lock)
+// Everything kwsc persists or ships — the v2 mmap flat containers and the
+// serve wire model — is defined by C++ constructs scattered across src/:
+// structs reinterpreted from mapped bytes, family tags, and the ordered
+// slab/root sequences each Save/Load side issues. This tool extracts all
+// of them into one canonical committed manifest (FORMATS.lock)
 // so that any layout drift shows up as a reviewable text diff, and the
 // abi-gate can demand that the diff lands together with a bump of the
 // owning format's version constant (core/format_versions.h).
@@ -54,7 +54,7 @@ struct FormatSpec {
   std::string key;       // manifest name, e.g. "orp-kw"
   std::string constant;  // e.g. "kOrpKwFormatVersion"
   uint32_t version = 0;
-  std::vector<std::string> tags;   // 4-char magic/family tags, e.g. "KWO2"
+  std::vector<std::string> tags;   // 4-char family tags, e.g. "KWO2"
   std::vector<std::string> files;  // path substrings assigning files
   int line = 0;
 };
@@ -79,11 +79,11 @@ struct StructInfo {
   std::vector<Field> fields;
 };
 
-/// One op in a Save*/Load* body: v1 archive ops (Magic/Pod/Vec), flat slab
-/// ops (Slab/Root), and nested Save*/Load* calls (Sub).
+/// One op in a Save*/Load* body: flat slab ops (Slab/Root) and nested
+/// Save*/Load* calls (Sub).
 struct FormatOp {
-  std::string kind;    // "Magic" | "Pod" | "Vec" | "Slab" | "Root" | "Sub"
-  std::string detail;  // tag literal / template args / call spelling
+  std::string kind;    // "Slab" | "Root" | "Sub"
+  std::string detail;  // statement spelling / callee name
   int line = 0;
 };
 
@@ -95,7 +95,7 @@ struct OpSection {
   std::vector<FormatOp> ops;
 };
 
-/// A 4-char magic / family tag spelled in a source file.
+/// A 4-char family tag spelled in a source file (FlatFamilyTag(...)).
 struct TagUse {
   std::string tag;
   std::string file;

@@ -63,14 +63,6 @@ std::vector<AllowEntry> LoadAllowlistFile(const std::string& path) {
 
 namespace {
 
-struct SerializeFn {
-  std::string file;
-  std::string owner;   // Class (or free-pair stem) the function belongs to.
-  std::string suffix;  // "" for Save/Load, "Flat" for SaveFlat/LoadFlat.
-  int line = 0;
-  std::vector<ArchiveOp> ops;
-};
-
 std::string ExpectedGuard(const std::string& path) {
   std::string trimmed = path;
   if (StartsWith(trimmed, "src/")) trimmed = trimmed.substr(4);
@@ -402,8 +394,8 @@ void LintConcurrencyAndFlat(const std::string& path,
 /// concurrency pack — which includes the seeded fixtures under
 /// tests/lint_fixtures/src/). Judges the format-contract discipline that
 /// tools/kwsc_abi locks tree-wide, at per-file granularity: persisted
-/// structs must be registered, registered structs must spell fixed widths,
-/// and Magic versions must come from core/format_versions.h.
+/// structs must be registered, and registered structs must spell fixed
+/// widths.
 template <typename ReportFn>
 void LintAbiContracts(const std::string& path, const std::vector<Token>& toks,
                       const ReportFn& report) {
@@ -527,23 +519,6 @@ void LintAbiContracts(const std::string& path, const std::vector<Token>& toks,
       }
       decl_begin = j + 1;
       function_like = false;
-    }
-  }
-
-  // --- abi-version-bump ----------------------------------------------------
-  // `Magic("TAG", 1)` hard-codes the version at the call site; the write and
-  // read sides must both reference the named constant in
-  // core/format_versions.h, which is the single declaration the manifest's
-  // drift gate keys version bumps off.
-  for (size_t i = 0; i + 4 < toks.size(); ++i) {
-    if (toks[i].kind == Token::kIdent && toks[i].text == "Magic" &&
-        toks[i + 1].text == "(" && toks[i + 2].kind == Token::kString &&
-        toks[i + 3].text == "," && toks[i + 4].kind == Token::kNumber) {
-      report(toks[i].line, "abi-version-bump",
-             "Magic(" + toks[i + 2].text +
-                 ", ...) version is a numeric literal; use the named "
-                 "k*FormatVersion constant from core/format_versions.h so "
-                 "the abi-gate can tie layout drift to a version bump");
     }
   }
 }
@@ -816,12 +791,12 @@ void Linter::LintSource(const std::string& path, const std::string& contents) {
   LintEpochDiscipline(path, toks, report);
 
   // --- function-structure pass: archive-symmetry + ops-budget --------------
-  // One walk detects function definitions. For Save/Load definitions it
-  // extracts the ordered archive-op sequence; for every definition it scans
-  // range-for loops over ObjectId and demands OpsBudget::Charge when the
-  // function takes an OpsBudget*.
-  std::map<std::string, std::vector<SerializeFn>> saves;
-  std::map<std::string, std::vector<SerializeFn>> loads;
+  // One walk detects function definitions. It records the owner of every
+  // SaveFlat/LoadFlat definition; for every definition it scans range-for
+  // loops over ObjectId and demands OpsBudget::Charge when the function
+  // takes an OpsBudget*.
+  std::map<std::string, int> flat_saves;  // Owner -> first definition line.
+  std::map<std::string, int> flat_loads;
 
   // Class context: (name, token index of the opening brace's matching
   // close), innermost last.
@@ -938,43 +913,19 @@ void Linter::LintSource(const std::string& path, const std::string& contents) {
       const bool fn_has_budget =
           RangeContainsIdent(toks, i + 2, params_close, "OpsBudget");
 
-      // Archive unit detection. LoadFlat reads from a mapped file rather
-      // than an InputArchive, so MmapFile params count as load-like too.
-      const std::string& fname = tok.text;
-      const bool save_like =
-          StartsWith(fname, "Save") &&
-          (RangeContainsIdent(toks, i + 2, params_close, "OutputArchive") ||
-           RangeContainsIdent(toks, i + 2, params_close, "ostream"));
-      const bool load_like =
-          StartsWith(fname, "Load") &&
-          (RangeContainsIdent(toks, i + 2, params_close, "InputArchive") ||
-           RangeContainsIdent(toks, i + 2, params_close, "istream") ||
-           RangeContainsIdent(toks, i + 2, params_close, "MmapFile"));
-      if (save_like || load_like) {
+      // Flat pair members, by owner: Class::SaveFlat out of line, or a
+      // SaveFlat defined inside the class body.
+      if (tok.text == "SaveFlat" || tok.text == "LoadFlat") {
         std::string owner;
-        std::string suffix = fname.substr(4);  // "" / "Flat" / free-pair stem.
         if (i >= 2 && toks[i - 1].text == "::" &&
             toks[i - 2].kind == Token::kIdent) {
-          owner = toks[i - 2].text;  // Out-of-line member: Class::Save.
+          owner = toks[i - 2].text;
         } else if (!class_stack.empty()) {
           owner = class_stack.back().first;
-        } else {
-          owner = fname.substr(4);  // Free SaveFoo/LoadFoo pair.
-          suffix.clear();
         }
         if (!owner.empty()) {
-          SerializeFn fn;
-          fn.file = path;
-          fn.owner = owner;
-          fn.suffix = suffix;
-          fn.line = tok.line;
-          fn.ops = ExtractArchiveOps(toks, body_open + 1, body_close);
-          // Pair by exact name, not by owner alone: an owner with both a
-          // v1 Save/Load and a v2 SaveFlat/LoadFlat must keep each pair
-          // checked independently (owner-keyed pairing would see two save
-          // fns and silently skip the v1 check).
-          const std::string key = owner + '\x1f' + suffix;
-          (save_like ? saves : loads)[key].push_back(std::move(fn));
+          (tok.text == "SaveFlat" ? flat_saves : flat_loads)
+              .emplace(owner, tok.line);
         }
       }
 
@@ -984,66 +935,20 @@ void Linter::LintSource(const std::string& path, const std::string& contents) {
   };
   scan_range(scan_range, 0, toks.size(), /*has_budget=*/false);
 
-  // --- archive-symmetry pairing (per file: the codebase keeps a pair's two
-  // bodies in one translation-unit's source file). Keys are owner + exact
-  // name suffix, so Save pairs with Load and SaveFlat with LoadFlat. --------
-  for (const auto& [key, save_fns] : saves) {
-    auto it = loads.find(key);
-    if (save_fns.front().suffix == "Flat") {
-      // Flat bodies are arena writes, not archive-op streams, so the op
-      // comparison does not apply; what must hold is that a mapped-format
-      // writer ships with its reader in the same translation unit.
-      if (it == loads.end()) {
-        report(save_fns.front().line, "archive-symmetry",
-               save_fns.front().owner +
-                   ": SaveFlat has no LoadFlat counterpart in this file; a "
-                   "v2 flat container nobody can map back is write-only "
-                   "data");
-      }
-      continue;
-    }
-    if (it == loads.end() || save_fns.size() != 1 || it->second.size() != 1) {
-      continue;  // Unpaired or overloaded: nothing comparable.
-    }
-    const SerializeFn& save = save_fns[0];
-    const SerializeFn& load = it->second[0];
-    const size_t count = std::min(save.ops.size(), load.ops.size());
-    std::string mismatch;
-    int at_line = load.line;
-    for (size_t k = 0; k < count && mismatch.empty(); ++k) {
-      const ArchiveOp& s = save.ops[k];
-      const ArchiveOp& l = load.ops[k];
-      if (s.kind != l.kind) {
-        mismatch = "op " + std::to_string(k + 1) + " is " +
-                   ArchiveOpName(s.kind) + " in Save but " +
-                   ArchiveOpName(l.kind) + " in Load";
-        at_line = l.line;
-      } else if (!s.detail.empty() && !l.detail.empty() &&
-                 s.detail != l.detail) {
-        mismatch = "op " + std::to_string(k + 1) + " (" +
-                   ArchiveOpName(s.kind) + ") spells '" + s.detail +
-                   "' in Save but '" + l.detail + "' in Load";
-        at_line = l.line;
-      }
-    }
-    if (mismatch.empty() && save.ops.size() != load.ops.size()) {
-      mismatch = "Save issues " + std::to_string(save.ops.size()) +
-                 " archive ops but Load issues " +
-                 std::to_string(load.ops.size());
-      at_line = load.line;
-    }
-    if (!mismatch.empty()) {
-      report(at_line, "archive-symmetry",
-             save.owner + ": " + mismatch +
-                 "; Save and Load must stream the same ordered field "
-                 "sequence");
+  // --- archive-symmetry: a mapped-format writer ships with its reader in
+  // the same file, and the other way round. ---------------------------------
+  for (const auto& [owner, line] : flat_saves) {
+    if (flat_loads.count(owner) == 0) {
+      report(line, "archive-symmetry",
+             owner +
+                 ": SaveFlat has no LoadFlat counterpart in this file; a "
+                 "v2 flat container nobody can map back is write-only data");
     }
   }
-  for (const auto& [key, load_fns] : loads) {
-    if (load_fns.front().suffix != "Flat") continue;
-    if (saves.find(key) == saves.end()) {
-      report(load_fns.front().line, "archive-symmetry",
-             load_fns.front().owner +
+  for (const auto& [owner, line] : flat_loads) {
+    if (flat_saves.count(owner) == 0) {
+      report(line, "archive-symmetry",
+             owner +
                  ": LoadFlat has no SaveFlat counterpart in this file; a "
                  "mapped-format reader with no writer cannot be kept in "
                  "sync with the layout it parses");

@@ -3,8 +3,8 @@
 // kwsc-lint: the project-specific static analyzer.
 //
 // A source scanner enforcing the repo rules clang-tidy cannot express — the
-// rules are about *kwsc's* contracts (deterministic queries, symmetric
-// archives, budgeted candidate enumeration, the threading model), not
+// rules are about *kwsc's* contracts (deterministic queries, paired
+// persistence, budgeted candidate enumeration, the threading model), not
 // general C++ hygiene. The scanner deliberately stays lexical: no LLVM
 // dependency, no compile database, millisecond runs, and the rules are
 // written against the codebase's uniform idiom (which PR 2's format/tidy
@@ -21,13 +21,12 @@
 //   hash-order         — a FlatHashMap/FlatHashSet::ForEach whose lambda
 //       accumulates into a vector (push_back/emplace_back) must be followed
 //       by a sort: hash iteration order is seeded per-process, so unsorted
-//       dumps leak nondeterminism into archives and results.
-//   archive-symmetry   — for every Save/Load pair (member pair, or free
-//       Save*/Load* pair), the two bodies must issue the same ordered
-//       sequence of Magic/Pod/Vec/nested-serialize calls, with matching
-//       explicit template arguments and magic tags where both sides spell
-//       them. Catches field skew that byte-identity tests only find on
-//       exercised paths.
+//       dumps leak nondeterminism into persisted bytes and results.
+//   archive-symmetry   — a class that defines SaveFlat must define LoadFlat
+//       in the same file, and the other way round: a flat container nobody
+//       can map back is write-only data, and a reader with no writer cannot
+//       be kept in sync with the layout it parses. (The slab sequences each
+//       side issues are locked in FORMATS.lock by tools/kwsc_abi.)
 //   ops-budget         — in core/ and serve/ files, a range-for over
 //       ObjectId inside a
 //       function taking an OpsBudget* must call Charge in its body (the
@@ -89,9 +88,6 @@
 //   abi-raw-width      — a platform-width type spelling (int, long, size_t,
 //       ...) inside a registered ABI struct's definition; persisted/wire
 //       fields spell fixed-width types.
-//   abi-version-bump   — `Magic("TAG", <numeric literal>)`: format versions
-//       are named constants in core/format_versions.h so the abi-gate can
-//       tie a layout diff to a version bump.
 //
 // Suppression, most-specific first: an inline `kwsc-lint: allow(rule-id)`
 // comment on the finding's line or the line above; an allowlist entry

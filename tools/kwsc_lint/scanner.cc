@@ -205,64 +205,6 @@ bool RangeContainsIdent(const std::vector<Token>& tokens, size_t begin,
   return false;
 }
 
-std::string JoinTokens(const std::vector<Token>& tokens, size_t begin,
-                       size_t end) {
-  std::string joined;
-  for (size_t i = begin; i < end && i < tokens.size(); ++i) {
-    if (!joined.empty()) joined += ' ';
-    joined += tokens[i].text;
-  }
-  return joined;
-}
-
-const char* ArchiveOpName(ArchiveOp::Kind kind) {
-  switch (kind) {
-    case ArchiveOp::kMagic:
-      return "Magic";
-    case ArchiveOp::kPod:
-      return "Pod";
-    case ArchiveOp::kVec:
-      return "Vec";
-    case ArchiveOp::kSub:
-      return "nested Save/Load";
-  }
-  return "?";
-}
-
-std::vector<ArchiveOp> ExtractArchiveOps(const std::vector<Token>& toks,
-                                         size_t body_begin, size_t body_end) {
-  std::vector<ArchiveOp> ops;
-  for (size_t j = body_begin; j < body_end; ++j) {
-    if (toks[j].kind != Token::kIdent) continue;
-    const std::string& name = toks[j].text;
-    if (j + 1 >= body_end) break;
-    if (name == "Magic" && toks[j + 1].text == "(") {
-      std::string tag;
-      if (j + 2 < body_end && toks[j + 2].kind == Token::kString) {
-        tag = toks[j + 2].text;
-      }
-      ops.push_back({ArchiveOp::kMagic, tag, toks[j].line});
-    } else if (name == "Pod" || name == "Vec") {
-      const ArchiveOp::Kind kind =
-          name == "Pod" ? ArchiveOp::kPod : ArchiveOp::kVec;
-      if (toks[j + 1].text == "<") {
-        const size_t targs_close = MatchingClose(toks, j + 1);
-        if (targs_close < body_end && targs_close + 1 < toks.size() &&
-            toks[targs_close + 1].text == "(") {
-          ops.push_back(
-              {kind, JoinTokens(toks, j + 2, targs_close), toks[j].line});
-        }
-      } else if (toks[j + 1].text == "(") {
-        ops.push_back({kind, "", toks[j].line});
-      }
-    } else if ((StartsWith(name, "Save") || StartsWith(name, "Load")) &&
-               toks[j + 1].text == "(") {
-      ops.push_back({ArchiveOp::kSub, name.substr(4), toks[j].line});
-    }
-  }
-  return ops;
-}
-
 const std::set<std::string>& ThreadAnnotationMacros() {
   static const std::set<std::string> kMacros = {
       "KWSC_GUARDED_BY",       "KWSC_PT_GUARDED_BY",

@@ -52,36 +52,8 @@ size_t MatchingClose(const std::vector<Token>& tokens, size_t open);
 bool RangeContainsIdent(const std::vector<Token>& tokens, size_t begin,
                         size_t end, std::string_view ident);
 
-/// Joins tokens into a canonical one-space spelling so the same type spelled
-/// in two places compares equal regardless of whitespace in the source.
-std::string JoinTokens(const std::vector<Token>& tokens, size_t begin,
-                       size_t end);
-
 bool EndsWith(std::string_view text, std::string_view suffix);
 bool StartsWith(std::string_view text, std::string_view prefix);
-
-// ---------------------------------------------------------------------------
-// Archive-op extraction: the ordered Magic/Pod/Vec/nested-serialize sequence
-// a Save or Load body issues. kwsc-lint compares the two sides of a pair
-// (archive-symmetry); kwsc-abi serializes the save-side sequence into the
-// FORMATS.lock manifest.
-// ---------------------------------------------------------------------------
-
-struct ArchiveOp {
-  enum Kind { kMagic, kPod, kVec, kSub };
-  Kind kind;
-  std::string detail;  // Magic: tag literal; Pod/Vec: explicit template args
-                       // ("" when deduced); Sub: callee suffix ("" for plain
-                       // nested Save/Load).
-  int line;
-};
-
-const char* ArchiveOpName(ArchiveOp::Kind kind);
-
-/// Extracts the ordered archive-op sequence from the token range
-/// [body_begin, body_end) of a Save/Load body.
-std::vector<ArchiveOp> ExtractArchiveOps(const std::vector<Token>& toks,
-                                         size_t body_begin, size_t body_end);
 
 // ---------------------------------------------------------------------------
 // Declarations pass: a lightweight per-file semantic model. Still lexical —
